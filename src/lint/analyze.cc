@@ -19,12 +19,6 @@ namespace {
 // Small text utilities over the blanked `code` buffer.
 
 bool IsBlank(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
-bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-size_t SkipBlanks(std::string_view text, size_t pos) {
-  while (pos < text.size() && IsBlank(text[pos])) ++pos;
-  return pos;
-}
 
 // Last non-blank position strictly before `pos`, or npos.
 size_t PrevNonBlank(std::string_view text, size_t pos) {
@@ -44,16 +38,6 @@ std::string_view IdentEndingAt(std::string_view text, size_t end) {
   return text.substr(start, end - start + 1);
 }
 
-// The identifier starting at `pos`; empty if text[pos] cannot start one.
-std::string_view IdentStartingAt(std::string_view text, size_t pos) {
-  if (pos >= text.size() || !IsIdentChar(text[pos]) || IsDigit(text[pos])) {
-    return {};
-  }
-  size_t end = pos;
-  while (end < text.size() && IsIdentChar(text[end])) ++end;
-  return text.substr(pos, end - pos);
-}
-
 // Position of the delimiter matching the opener at `open` ('(' / '{' / '<'),
 // or npos. Operates on the blanked code buffer, so delimiters inside strings
 // and comments cannot confuse the count.
@@ -64,30 +48,6 @@ size_t MatchDelim(std::string_view text, size_t open, char open_c, char close_c)
     if (text[i] == close_c && --depth == 0) return i;
   }
   return std::string_view::npos;
-}
-
-// Binary-searchable newline index: LineOf(offset) in O(log n).
-class LineIndex {
- public:
-  explicit LineIndex(std::string_view content) {
-    starts_.push_back(0);
-    for (size_t i = 0; i < content.size(); ++i) {
-      if (content[i] == '\n') starts_.push_back(i + 1);
-    }
-  }
-  int LineOf(size_t offset) const {
-    auto it = std::upper_bound(starts_.begin(), starts_.end(), offset);
-    return static_cast<int>(it - starts_.begin());
-  }
-
- private:
-  std::vector<size_t> starts_;
-};
-
-std::string Stem(std::string_view path) {
-  if (EndsWith(path, ".cc")) return std::string(path.substr(0, path.size() - 3));
-  if (EndsWith(path, ".h")) return std::string(path.substr(0, path.size() - 2));
-  return std::string(path);
 }
 
 bool IsUpperVerb(std::string_view text) {
@@ -105,23 +65,20 @@ bool TextHasToken(std::string_view text, std::string_view token) {
 }
 
 // ---------------------------------------------------------------------------
-// Indexed file: one lex per file, shared by both phases.
+// Indexed file: one lex per file, shared by fact extraction and the rules.
 
 struct IndexedFile {
   const SourceFile* source = nullptr;
   SeparatedSource sep;
-  LineIndex lines;
   std::map<int, std::set<std::string>> allows;
 
   explicit IndexedFile(const SourceFile& file)
-      : source(&file), sep(Separate(file.content)), lines(file.content) {
+      : source(&file), sep(Separate(file.content)) {
     allows = CollectAllows(SplitLines(sep.comments));
   }
 
   std::string_view path() const { return source->path; }
   std::string_view code() const { return sep.code; }
-  bool is_header() const { return EndsWith(source->path, ".h"); }
-  bool is_cc() const { return EndsWith(source->path, ".cc"); }
 };
 
 std::vector<IndexedFile> BuildIndex(const std::vector<SourceFile>& files) {
@@ -135,432 +92,8 @@ std::vector<IndexedFile> BuildIndex(const std::vector<SourceFile>& files) {
   return indexed;
 }
 
-// The first literal whose opening quote lies in (begin, end), if any.
-const Literal* FirstLiteralIn(const std::vector<Literal>& literals,
-                              size_t begin, size_t end) {
-  for (const Literal& lit : literals) {
-    if (lit.offset > begin && lit.offset < end) return &lit;
-  }
-  return nullptr;
-}
-
 // ---------------------------------------------------------------------------
-// Phase 1: fact extraction.
-
-// `inline constexpr int kFoo = 42;` — the lock-rank constants (and any other
-// small integer constant; only names looked up later matter).
-void IndexRankConstants(const IndexedFile& file, RepoFacts* facts) {
-  std::string_view code = file.code();
-  for (size_t pos = FindToken(code, "constexpr", 0);
-       pos != std::string_view::npos;
-       pos = FindToken(code, "constexpr", pos + 1)) {
-    size_t p = SkipBlanks(code, pos + 9);
-    std::string_view type = IdentStartingAt(code, p);
-    if (type != "int") continue;
-    p = SkipBlanks(code, p + type.size());
-    std::string_view name = IdentStartingAt(code, p);
-    if (name.empty()) continue;
-    p = SkipBlanks(code, p + name.size());
-    if (p >= code.size() || code[p] != '=') continue;
-    p = SkipBlanks(code, p + 1);
-    bool negative = false;
-    if (p < code.size() && code[p] == '-') {
-      negative = true;
-      ++p;
-    }
-    if (p >= code.size() || !IsDigit(code[p])) continue;
-    int value = 0;
-    while (p < code.size() && IsDigit(code[p])) {
-      value = value * 10 + (code[p] - '0');
-      ++p;
-    }
-    facts->rank_constants[std::string(name)] = negative ? -value : value;
-  }
-}
-
-// Status/StatusOr-returning functions. To keep the name set usable across
-// classes, every `Type ident(`-shaped declaration in any file votes on its
-// name: a name is a "status function" only if it is declared with a
-// Status/StatusOr return somewhere and never declared with any other
-// identified return type (so e.g. a `Validate` that returns Status in one
-// class and void in another drops out rather than flagging the void one).
-// Call sites never vote: a call's name is preceded by punctuation or a
-// statement keyword, not by a type identifier.
-void IndexStatusFunctions(const std::vector<IndexedFile>& files,
-                          RepoFacts* facts) {
-  static const std::set<std::string_view> kNonTypeTokens = {
-      "return",  "co_return", "if",       "while",    "for",    "switch",
-      "case",    "delete",    "new",      "else",     "do",     "sizeof",
-      "alignof", "not",       "and",      "or",       "goto",   "using",
-      "typedef", "namespace", "throw",    "decltype", "alignas",
-      "static_assert",
-  };
-  std::map<std::string, int> status_votes;
-  std::map<std::string, int> other_votes;
-  for (const IndexedFile& file : files) {
-    std::string_view code = file.code();
-    for (size_t i = 0; i < code.size(); ++i) {
-      if (!IsIdentChar(code[i]) || (i > 0 && IsIdentChar(code[i - 1]))) {
-        continue;
-      }
-      std::string_view name = IdentStartingAt(code, i);
-      if (name.empty()) {
-        continue;
-      }
-      size_t after = SkipBlanks(code, i + name.size());
-      if (after >= code.size() || code[after] != '(') {
-        i += name.size() - 1;
-        continue;
-      }
-      // `name(` — find the preceding return-type token, if any.
-      size_t prev = PrevNonBlank(code, i);
-      if (prev == std::string_view::npos) {
-        i += name.size() - 1;
-        continue;
-      }
-      if (code[prev] == '>') {
-        // Possibly `StatusOr<...> name(`: walk the angle brackets back.
-        int depth = 0;
-        size_t j = prev + 1;
-        size_t open = std::string_view::npos;
-        while (j > 0) {
-          --j;
-          if (code[j] == '>') ++depth;
-          if (code[j] == '<' && --depth == 0) {
-            open = j;
-            break;
-          }
-        }
-        if (open != std::string_view::npos && open > 0) {
-          std::string_view tmpl =
-              IdentEndingAt(code, PrevNonBlank(code, open));
-          if (tmpl == "StatusOr") {
-            ++status_votes[std::string(name)];
-          } else if (!tmpl.empty()) {
-            ++other_votes[std::string(name)];
-          }
-        }
-      } else if (IsIdentChar(code[prev])) {
-        std::string_view ret = IdentEndingAt(code, prev);
-        if (ret == "Status" || ret == "StatusOr") {
-          ++status_votes[std::string(name)];
-        } else if (kNonTypeTokens.count(ret) == 0) {
-          ++other_votes[std::string(name)];
-        }
-      }
-      i += name.size() - 1;
-    }
-  }
-  for (const auto& [name, votes] : status_votes) {
-    if (votes > 0 && other_votes[name] == 0) {
-      facts->status_functions.insert(name);
-    }
-  }
-}
-
-// util::Mutex declarations with optional {"name", rank} initializers.
-void IndexLockDecls(const IndexedFile& file, RepoFacts* facts) {
-  std::string_view code = file.code();
-  const std::string stem = Stem(file.path());
-  for (size_t pos = FindToken(code, "Mutex", 0); pos != std::string_view::npos;
-       pos = FindToken(code, "Mutex", pos + 1)) {
-    size_t p = SkipBlanks(code, pos + 5);
-    std::string_view var = IdentStartingAt(code, p);
-    if (var.empty()) continue;  // `Mutex(`, `Mutex&`, `Mutex {`: not a decl
-    if (var == "PANDIA_SCOPED_CAPABILITY") continue;
-    size_t after = SkipBlanks(code, p + var.size());
-    if (after < code.size() && (code[after] == ')' || code[after] == ',')) {
-      continue;  // function parameter, not a declaration
-    }
-    LockDecl decl;
-    decl.var = std::string(var);
-    decl.stem = stem;
-    decl.file = std::string(file.path());
-    decl.line = file.lines.LineOf(p);
-    if (after < code.size() && (code[after] == '{' || code[after] == '(')) {
-      const char open_c = code[after];
-      const char close_c = open_c == '{' ? '}' : ')';
-      size_t close = MatchDelim(code, after, open_c, close_c);
-      if (close == std::string_view::npos) continue;
-      const Literal* name_lit =
-          FirstLiteralIn(file.sep.literals, after, close);
-      if (name_lit != nullptr) {
-        decl.id = name_lit->text;
-        // After the (blanked) literal: `, <rank>` — an integer or a
-        // kLockRank* constant name.
-        size_t q = SkipBlanks(code, name_lit->offset);
-        if (q < close && code[q] == ',') {
-          q = SkipBlanks(code, q + 1);
-          if (q < close && (IsDigit(code[q]) || code[q] == '-')) {
-            size_t end = q + 1;
-            while (end < close && IsDigit(code[end])) ++end;
-            decl.rank_expr = std::string(code.substr(q, end - q));
-          } else {
-            // Possibly qualified: take the last identifier before the close.
-            size_t r = PrevNonBlank(code, close);
-            std::string_view ident = IdentEndingAt(code, r);
-            if (!ident.empty()) decl.rank_expr = std::string(ident);
-          }
-        }
-      }
-    }
-    if (decl.id.empty()) decl.id = stem + "::" + decl.var;
-    facts->locks.push_back(std::move(decl));
-  }
-}
-
-void ResolveRanks(RepoFacts* facts) {
-  for (LockDecl& decl : facts->locks) {
-    if (decl.rank_expr.empty()) continue;
-    if (IsDigit(decl.rank_expr[0]) || decl.rank_expr[0] == '-') {
-      decl.rank = 0;
-      bool negative = decl.rank_expr[0] == '-';
-      for (char c : decl.rank_expr) {
-        if (IsDigit(c)) decl.rank = decl.rank * 10 + (c - '0');
-      }
-      if (negative) decl.rank = -decl.rank;
-      decl.has_rank = true;
-    } else {
-      auto it = facts->rank_constants.find(decl.rank_expr);
-      if (it != facts->rank_constants.end()) {
-        decl.rank = it->second;
-        decl.has_rank = true;
-      }
-    }
-  }
-}
-
-// Lock identity resolution: (stem, var) first — a header's member mutex
-// resolves at use sites in the same-stem .cc — then a globally unique var
-// name as fallback.
-class LockResolver {
- public:
-  explicit LockResolver(const RepoFacts& facts) {
-    for (const LockDecl& decl : facts.locks) {
-      by_stem_var_.emplace(decl.stem + "\n" + decl.var, decl.id);
-      by_var_[decl.var].insert(decl.id);
-    }
-  }
-
-  // The canonical lock id for an acquisition expression like `mu_`,
-  // `buffer->mu`, `shard.mu`, `&cache_.mu`; empty when unresolvable.
-  std::string Resolve(std::string_view expr, const std::string& stem) const {
-    size_t end = expr.size();
-    while (end > 0 && !IsIdentChar(expr[end - 1])) --end;
-    if (end == 0) return {};
-    size_t start = end;
-    while (start > 0 && IsIdentChar(expr[start - 1])) --start;
-    const std::string var(expr.substr(start, end - start));
-    auto it = by_stem_var_.find(stem + "\n" + var);
-    if (it != by_stem_var_.end()) return it->second;
-    auto vit = by_var_.find(var);
-    if (vit != by_var_.end() && vit->second.size() == 1) {
-      return *vit->second.begin();
-    }
-    return {};
-  }
-
- private:
-  std::map<std::string, std::string> by_stem_var_;
-  std::map<std::string, std::set<std::string>> by_var_;
-};
-
-// PANDIA_REQUIRES/PANDIA_ACQUIRE annotations on header declarations, keyed
-// by (stem, function name) so the same-stem .cc definition inherits them.
-struct AnnotationIndex {
-  // stem + "\n" + function -> lock ids required/acquired at entry
-  std::map<std::string, std::vector<std::string>> by_fn;
-};
-
-void IndexHeaderAnnotations(const IndexedFile& file,
-                            const LockResolver& resolver,
-                            AnnotationIndex* index) {
-  std::string_view code = file.code();
-  const std::string stem = Stem(file.path());
-  for (std::string_view macro :
-       {std::string_view("PANDIA_REQUIRES"), std::string_view("PANDIA_ACQUIRE")}) {
-    for (size_t pos = FindToken(code, macro, 0); pos != std::string_view::npos;
-         pos = FindToken(code, macro, pos + 1)) {
-      size_t open = SkipBlanks(code, pos + macro.size());
-      if (open >= code.size() || code[open] != '(') continue;
-      size_t close = MatchDelim(code, open, '(', ')');
-      if (close == std::string_view::npos) continue;
-      // Walk back over trailing specifiers to the signature's `)`, then to
-      // its `(`, then to the function name.
-      size_t p = PrevNonBlank(code, pos);
-      while (p != std::string_view::npos && IsIdentChar(code[p])) {
-        std::string_view spec = IdentEndingAt(code, p);
-        if (spec != "const" && spec != "noexcept" && spec != "override" &&
-            spec != "final") {
-          break;
-        }
-        p = PrevNonBlank(code, p - spec.size() + 1);
-      }
-      if (p == std::string_view::npos || code[p] != ')') continue;
-      int depth = 0;
-      size_t sig_open = std::string_view::npos;
-      size_t j = p + 1;
-      while (j > 0) {
-        --j;
-        if (code[j] == ')') ++depth;
-        if (code[j] == '(' && --depth == 0) {
-          sig_open = j;
-          break;
-        }
-      }
-      if (sig_open == std::string_view::npos || sig_open == 0) continue;
-      std::string_view fn =
-          IdentEndingAt(code, PrevNonBlank(code, sig_open));
-      if (fn.empty()) continue;
-      // Resolve each annotation argument to a lock id.
-      std::string_view args = code.substr(open + 1, close - open - 1);
-      size_t start = 0;
-      while (start <= args.size()) {
-        size_t comma = args.find(',', start);
-        std::string_view arg = comma == std::string_view::npos
-                                   ? args.substr(start)
-                                   : args.substr(start, comma - start);
-        std::string id = resolver.Resolve(arg, stem);
-        if (!id.empty()) {
-          index->by_fn[stem + "\n" + std::string(fn)].push_back(id);
-        }
-        if (comma == std::string_view::npos) break;
-        start = comma + 1;
-      }
-    }
-  }
-}
-
-// The lexical acquisition scan: walks one file's code buffer tracking brace
-// depth, the stack of held locks (MutexLock scopes plus annotation-implied
-// holds), and records an edge for every nested acquisition.
-void ScanAcquisitions(const IndexedFile& file, const LockResolver& resolver,
-                      const AnnotationIndex& annotations, RepoFacts* facts) {
-  std::string_view code = file.code();
-  const std::string stem = Stem(file.path());
-
-  struct Held {
-    std::string id;
-    int depth;
-    int line;
-  };
-  struct Pending {
-    std::string id;
-    int line;
-  };
-  std::vector<Held> held;
-  std::vector<Pending> pending;
-  int depth = 0;
-
-  auto acquire = [&](const std::string& id, int line) {
-    for (const Held& h : held) {
-      if (h.id == id) continue;
-      facts->lock_edges.push_back(
-          LockEdge{h.id, id, std::string(file.path()), h.line, line});
-    }
-  };
-
-  size_t i = 0;
-  while (i < code.size()) {
-    const char c = code[i];
-    if (c == '{') {
-      ++depth;
-      for (const Pending& p : pending) {
-        held.push_back(Held{p.id, depth, p.line});
-      }
-      pending.clear();
-      ++i;
-      continue;
-    }
-    if (c == '}') {
-      while (!held.empty() && held.back().depth == depth) held.pop_back();
-      --depth;
-      ++i;
-      continue;
-    }
-    if (c == ';') {
-      pending.clear();  // annotated declaration without a body
-      ++i;
-      continue;
-    }
-    if (!IsIdentChar(c) || (i > 0 && IsIdentChar(code[i - 1]))) {
-      ++i;
-      continue;
-    }
-    std::string_view ident = IdentStartingAt(code, i);
-    if (ident.empty()) {
-      ++i;
-      continue;
-    }
-    if (ident == "MutexLock") {
-      // `MutexLock guard(expr);` — possibly `util::`-qualified (the `::` is
-      // transparent to the token scan) or brace-initialized.
-      size_t p = SkipBlanks(code, i + ident.size());
-      std::string_view guard = IdentStartingAt(code, p);
-      p = SkipBlanks(code, p + guard.size());
-      if (!guard.empty() && p < code.size() &&
-          (code[p] == '(' || code[p] == '{')) {
-        const char open_c = code[p];
-        const char close_c = open_c == '(' ? ')' : '}';
-        size_t close = MatchDelim(code, p, open_c, close_c);
-        if (close != std::string_view::npos) {
-          std::string id =
-              resolver.Resolve(code.substr(p + 1, close - p - 1), stem);
-          if (!id.empty()) {
-            const int line = file.lines.LineOf(i);
-            acquire(id, line);
-            held.push_back(Held{id, depth, line});
-          }
-          i = close + 1;
-          continue;
-        }
-      }
-      i += ident.size();
-      continue;
-    }
-    if (ident == "PANDIA_REQUIRES" || ident == "PANDIA_ACQUIRE") {
-      size_t open = SkipBlanks(code, i + ident.size());
-      if (open < code.size() && code[open] == '(') {
-        size_t close = MatchDelim(code, open, '(', ')');
-        if (close != std::string_view::npos) {
-          std::string_view args = code.substr(open + 1, close - open - 1);
-          const int line = file.lines.LineOf(i);
-          size_t start = 0;
-          while (start <= args.size()) {
-            size_t comma = args.find(',', start);
-            std::string_view arg = comma == std::string_view::npos
-                                       ? args.substr(start)
-                                       : args.substr(start, comma - start);
-            std::string id = resolver.Resolve(arg, stem);
-            if (!id.empty()) pending.push_back(Pending{id, line});
-            if (comma == std::string_view::npos) break;
-            start = comma + 1;
-          }
-          i = close + 1;
-          continue;
-        }
-      }
-      i += ident.size();
-      continue;
-    }
-    // `Class::Method(` at file scope in a .cc: the header declaration may
-    // carry the REQUIRES annotation this definition inherits.
-    if (file.is_cc() && depth == 0 && i >= 2 && code[i - 1] == ':' &&
-        code[i - 2] == ':') {
-      size_t after = SkipBlanks(code, i + ident.size());
-      if (after < code.size() && code[after] == '(') {
-        auto it = annotations.by_fn.find(stem + "\n" + std::string(ident));
-        if (it != annotations.by_fn.end()) {
-          const int line = file.lines.LineOf(i);
-          for (const std::string& id : it->second) {
-            pending.push_back(Pending{id, line});
-          }
-        }
-      }
-    }
-    i += ident.size();
-  }
-}
+// Fact extraction.
 
 // Wire-verb facts: the kVerbs / kJournalRecordVerbs inventory arrays, and
 // every `<chain>.verb == "X"` / `!= "X"` dispatch comparison.
@@ -623,91 +156,7 @@ void IndexMetrics(const IndexedFile& file, RepoFacts* facts) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock graph machinery shared by the rule, the DOT export, and the
-// topological order.
-
-struct LockGraph {
-  std::vector<std::string> nodes;               // sorted, unique
-  std::vector<LockEdge> edges;                  // deduplicated by (from, to)
-  std::map<std::string, std::vector<size_t>> out;  // node -> edge indices
-};
-
-LockGraph BuildLockGraph(const RepoFacts& facts) {
-  LockGraph graph;
-  std::set<std::string> nodes;
-  for (const LockDecl& decl : facts.locks) nodes.insert(decl.id);
-  std::set<std::pair<std::string, std::string>> seen;
-  for (const LockEdge& edge : facts.lock_edges) {
-    nodes.insert(edge.from);
-    nodes.insert(edge.to);
-    if (!seen.insert({edge.from, edge.to}).second) continue;
-    graph.out[edge.from].push_back(graph.edges.size());
-    graph.edges.push_back(edge);
-  }
-  graph.nodes.assign(nodes.begin(), nodes.end());
-  return graph;
-}
-
-// Every elementary cycle reachable by DFS, canonicalized (rotated so the
-// smallest id leads) and deduplicated. Each cycle is the list of edge
-// indices in order.
-std::vector<std::vector<size_t>> FindCycles(const LockGraph& graph) {
-  std::vector<std::vector<size_t>> cycles;
-  std::set<std::vector<std::string>> seen_cycles;
-  std::map<std::string, int> color;  // 0 white, 1 gray, 2 black
-  std::vector<std::string> path_nodes;
-  std::vector<size_t> path_edges;
-
-  auto dfs = [&](auto&& self, const std::string& node) -> void {
-    color[node] = 1;
-    path_nodes.push_back(node);
-    auto it = graph.out.find(node);
-    if (it != graph.out.end()) {
-      for (size_t ei : it->second) {
-        const std::string& next = graph.edges[ei].to;
-        if (color[next] == 1) {
-          // Back edge: the cycle runs from `next`'s position to here.
-          auto start = std::find(path_nodes.begin(), path_nodes.end(), next);
-          std::vector<std::string> ids(start, path_nodes.end());
-          std::vector<size_t> edges(
-              path_edges.begin() + (start - path_nodes.begin()),
-              path_edges.end());
-          edges.push_back(ei);
-          // Canonicalize: rotate the smallest id to the front (edge k stays
-          // ids[k] -> ids[k+1 mod n]).
-          const std::ptrdiff_t shift =
-              std::min_element(ids.begin(), ids.end()) - ids.begin();
-          std::rotate(ids.begin(), ids.begin() + shift, ids.end());
-          std::rotate(edges.begin(), edges.begin() + shift, edges.end());
-          if (seen_cycles.insert(ids).second) cycles.push_back(edges);
-        } else if (color[next] == 0) {
-          path_edges.push_back(ei);
-          self(self, next);
-          path_edges.pop_back();
-        }
-      }
-    }
-    path_nodes.pop_back();
-    color[node] = 2;
-  };
-  for (const std::string& node : graph.nodes) {
-    if (color[node] == 0) dfs(dfs, node);
-  }
-  return cycles;
-}
-
-const LockDecl* DeclForId(const RepoFacts& facts, const std::string& id) {
-  for (const LockDecl& decl : facts.locks) {
-    if (decl.id == id && decl.has_rank) return &decl;
-  }
-  for (const LockDecl& decl : facts.locks) {
-    if (decl.id == id) return &decl;
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Phase 2: rules.
+// Rules.
 
 class FindingSink {
  public:
@@ -746,136 +195,6 @@ class FindingSink {
   std::map<std::string, const std::map<int, std::set<std::string>>*> allows_;
   std::vector<Finding> findings_;
 };
-
-void CheckLockOrder(const RepoFacts& facts, FindingSink* sink) {
-  LockGraph graph = BuildLockGraph(facts);
-
-  for (const std::vector<size_t>& cycle : FindCycles(graph)) {
-    std::string ids;
-    for (size_t ei : cycle) {
-      ids += "\"" + graph.edges[ei].from + "\" -> ";
-    }
-    ids += "\"" + graph.edges[cycle.front()].from + "\"";
-    std::string witness;
-    for (size_t ei : cycle) {
-      const LockEdge& e = graph.edges[ei];
-      witness += "; \"" + e.to + "\" acquired at " + e.file + ":" +
-                 std::to_string(e.to_line) + " while \"" + e.from +
-                 "\" held (since " + e.file + ":" +
-                 std::to_string(e.from_line) + ")";
-    }
-    const LockEdge& anchor = graph.edges[cycle.front()];
-    sink->Report(anchor.file, anchor.to_line, "lock-order",
-                 "potential deadlock: lock-order cycle " + ids + witness);
-  }
-
-  for (const LockEdge& edge : graph.edges) {
-    const LockDecl* from = DeclForId(facts, edge.from);
-    const LockDecl* to = DeclForId(facts, edge.to);
-    if (from == nullptr || to == nullptr || !from->has_rank || !to->has_rank) {
-      continue;
-    }
-    if (from->rank >= to->rank) {
-      sink->Report(
-          edge.file, edge.to_line, "lock-order",
-          "acquisition order contradicts declared lock ranks: \"" + edge.to +
-              "\" (rank " + std::to_string(to->rank) +
-              ") acquired while \"" + edge.from + "\" (rank " +
-              std::to_string(from->rank) +
-              ") held; ranks must strictly ascend (held since " + edge.file +
-              ":" + std::to_string(edge.from_line) + ")");
-    }
-  }
-}
-
-void CheckDiscardedStatus(const std::vector<IndexedFile>& files,
-                          const RepoFacts& facts, FindingSink* sink) {
-  if (facts.status_functions.empty()) return;
-  for (const IndexedFile& file : files) {
-    std::string_view code = file.code();
-    for (size_t i = 0; i < code.size(); ++i) {
-      if (!IsIdentChar(code[i]) || (i > 0 && IsIdentChar(code[i - 1]))) {
-        continue;
-      }
-      std::string_view name = IdentStartingAt(code, i);
-      if (name.empty()) continue;
-      const size_t next_i = i + name.size() - 1;
-      if (facts.status_functions.count(std::string(name)) == 0) {
-        i = next_i;
-        continue;
-      }
-      size_t open = SkipBlanks(code, i + name.size());
-      if (open >= code.size() || code[open] != '(') {
-        i = next_i;
-        continue;
-      }
-      size_t close = MatchDelim(code, open, '(', ')');
-      if (close == std::string_view::npos) {
-        i = next_i;
-        continue;
-      }
-      size_t after = SkipBlanks(code, close + 1);
-      if (after >= code.size() || code[after] != ';') {
-        i = next_i;
-        continue;
-      }
-      // The call is a full statement `name(...);` — unless something uses
-      // its value to the left. Walk the qualifier chain backward
-      // (`obj.`, `ptr->`, `ns::`, including `call().`), then require a
-      // statement boundary.
-      size_t p = PrevNonBlank(code, i);
-      bool chain = true;
-      while (chain && p != std::string_view::npos) {
-        if (code[p] == '.' && (p == 0 || !IsDigit(code[p - 1]))) {
-          p = PrevNonBlank(code, p);
-        } else if (code[p] == '>' && p > 0 && code[p - 1] == '-') {
-          p = PrevNonBlank(code, p - 1);
-        } else if (code[p] == ':' && p > 0 && code[p - 1] == ':') {
-          p = PrevNonBlank(code, p - 1);
-        } else {
-          break;
-        }
-        // After a qualifier: an identifier, or a call's closing paren.
-        if (p != std::string_view::npos && code[p] == ')') {
-          int depth = 0;
-          size_t j = p + 1;
-          size_t sig_open = std::string_view::npos;
-          while (j > 0) {
-            --j;
-            if (code[j] == ')') ++depth;
-            if (code[j] == '(' && --depth == 0) {
-              sig_open = j;
-              break;
-            }
-          }
-          if (sig_open == std::string_view::npos) {
-            chain = false;
-            break;
-          }
-          p = PrevNonBlank(code, sig_open);
-        }
-        if (p != std::string_view::npos && IsIdentChar(code[p])) {
-          std::string_view q = IdentEndingAt(code, p);
-          const size_t ident_start = p + 1 - q.size();
-          p = ident_start == 0 ? std::string_view::npos
-                               : PrevNonBlank(code, ident_start);
-        } else {
-          chain = false;
-        }
-      }
-      const bool discarded =
-          p == std::string_view::npos ||
-          (chain && (code[p] == ';' || code[p] == '{' || code[p] == '}'));
-      if (discarded) {
-        sink->Report(file.path(), file.lines.LineOf(i), "discarded-status",
-                     "result of Status-returning call '" + std::string(name) +
-                         "' is discarded; check it, propagate it, or cast "
-                         "to void with a comment");
-      }
-      i = next_i;
-    }
-  }
-}
 
 void CheckWireVerbDrift(const std::vector<IndexedFile>& files,
                         const RepoFacts& facts, FindingSink* sink) {
@@ -994,12 +313,6 @@ void CheckMetricDrift(const RepoFacts& facts, FindingSink* sink) {
 
 const std::vector<RuleInfo>& AnalyzerRules() {
   static const std::vector<RuleInfo>* rules = new std::vector<RuleInfo>{
-      {"lock-order",
-       "the global lock-acquisition digraph must be acyclic and consistent "
-       "with the declared kLockRank* order"},
-      {"discarded-status",
-       "a Status/StatusOr-returning call must not be a bare "
-       "expression-statement"},
       {"wire-verb-drift",
        "wire.h's verb inventory, both dispatchers, and DESIGN.md must agree"},
       {"metric-drift",
@@ -1009,117 +322,24 @@ const std::vector<RuleInfo>& AnalyzerRules() {
   return *rules;
 }
 
-RepoFacts IndexFiles(const std::vector<SourceFile>& files) {
-  RepoFacts facts;
-  for (const SourceFile& file : files) {
-    if (EndsWith(file.path, "DESIGN.md")) {
-      facts.design_text = file.content;
-      facts.has_design = true;
-    }
-  }
-  std::vector<IndexedFile> indexed = BuildIndex(files);
-  for (const IndexedFile& file : indexed) {
-    IndexRankConstants(file, &facts);
-    IndexLockDecls(file, &facts);
-    IndexVerbs(file, &facts);
-    IndexMetrics(file, &facts);
-  }
-  IndexStatusFunctions(indexed, &facts);
-  ResolveRanks(&facts);
-
-  LockResolver resolver(facts);
-  AnnotationIndex annotations;
-  for (const IndexedFile& file : indexed) {
-    if (file.is_header()) IndexHeaderAnnotations(file, resolver, &annotations);
-  }
-  for (const IndexedFile& file : indexed) {
-    ScanAcquisitions(file, resolver, annotations, &facts);
-  }
-  return facts;
-}
-
-std::vector<Finding> Analyze(const std::vector<SourceFile>& files,
-                             const RepoFacts& facts) {
-  std::vector<IndexedFile> indexed = BuildIndex(files);
-  FindingSink sink(indexed);
-  CheckLockOrder(facts, &sink);
-  CheckDiscardedStatus(indexed, facts, &sink);
-  CheckWireVerbDrift(indexed, facts, &sink);
-  CheckMetricDrift(facts, &sink);
-  return sink.Take();
-}
-
 AnalyzeResult AnalyzeFiles(const std::vector<SourceFile>& files) {
   AnalyzeResult result;
-  result.facts = IndexFiles(files);
-  result.findings = Analyze(files, result.facts);
+  for (const SourceFile& file : files) {
+    if (EndsWith(file.path, "DESIGN.md")) {
+      result.facts.design_text = file.content;
+      result.facts.has_design = true;
+    }
+  }
+  const std::vector<IndexedFile> indexed = BuildIndex(files);
+  for (const IndexedFile& file : indexed) {
+    IndexVerbs(file, &result.facts);
+    IndexMetrics(file, &result.facts);
+  }
+  FindingSink sink(indexed);
+  CheckWireVerbDrift(indexed, result.facts, &sink);
+  CheckMetricDrift(result.facts, &sink);
+  result.findings = sink.Take();
   return result;
-}
-
-std::string LockGraphDot(const RepoFacts& facts) {
-  LockGraph graph = BuildLockGraph(facts);
-  std::set<size_t> cycle_edges;
-  for (const std::vector<size_t>& cycle : FindCycles(graph)) {
-    cycle_edges.insert(cycle.begin(), cycle.end());
-  }
-  std::string dot = "digraph lock_order {\n  rankdir=LR;\n";
-  for (const std::string& node : graph.nodes) {
-    const LockDecl* decl = DeclForId(facts, node);
-    dot += "  \"" + node + "\" [label=\"" + node;
-    if (decl != nullptr && decl->has_rank) {
-      dot += "\\nrank " + std::to_string(decl->rank);
-    }
-    dot += "\"];\n";
-  }
-  for (size_t ei = 0; ei < graph.edges.size(); ++ei) {
-    const LockEdge& edge = graph.edges[ei];
-    dot += "  \"" + edge.from + "\" -> \"" + edge.to + "\" [label=\"" +
-           edge.file + ":" + std::to_string(edge.to_line) + "\"";
-    const LockDecl* from = DeclForId(facts, edge.from);
-    const LockDecl* to = DeclForId(facts, edge.to);
-    const bool contradicts = from != nullptr && to != nullptr &&
-                             from->has_rank && to->has_rank &&
-                             from->rank >= to->rank;
-    if (cycle_edges.count(ei) > 0 || contradicts) {
-      dot += ", color=red, penwidth=2";
-    }
-    dot += "];\n";
-  }
-  dot += "}\n";
-  return dot;
-}
-
-std::vector<std::string> TopologicalLockOrder(const RepoFacts& facts) {
-  LockGraph graph = BuildLockGraph(facts);
-  std::map<std::string, int> indegree;
-  for (const std::string& node : graph.nodes) indegree[node] = 0;
-  for (const LockEdge& edge : graph.edges) ++indegree[edge.to];
-
-  std::set<std::string> ready;
-  for (const auto& [node, deg] : indegree) {
-    if (deg == 0) ready.insert(node);
-  }
-  std::vector<std::string> order;
-  while (!ready.empty()) {
-    std::string node = *ready.begin();
-    ready.erase(ready.begin());
-    order.push_back(node);
-    auto it = graph.out.find(node);
-    if (it == graph.out.end()) continue;
-    for (size_t ei : it->second) {
-      const std::string& next = graph.edges[ei].to;
-      if (--indegree[next] == 0) ready.insert(next);
-    }
-  }
-  // Nodes still carrying in-degree sit on cycles; append them sorted so the
-  // output is total and deterministic.
-  std::vector<std::string> cyclic;
-  for (const auto& [node, deg] : indegree) {
-    if (deg > 0) cyclic.push_back(node);
-  }
-  std::sort(cyclic.begin(), cyclic.end());
-  order.insert(order.end(), cyclic.begin(), cyclic.end());
-  return order;
 }
 
 }  // namespace lint

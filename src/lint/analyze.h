@@ -1,28 +1,15 @@
-// pandia_analyze — the whole-program analyzer's engine.
+// The cross-file rules of pandia_lint.
 //
-// Where pandia_lint (src/lint/lint.h) judges one line of one file at a time,
-// the analyzer reasons across the whole tree in two phases:
-//
-//   Phase 1 (IndexFiles) lexes every file with the shared lexer
-//   (src/lint/lexer.h) and extracts cross-file *facts*:
-//     - functions returning Status/StatusOr, harvested from headers;
-//     - named/ranked util::Mutex declarations, and lock-acquisition edges
-//       ("B acquired while A held") from nested MutexLock scopes and
-//       PANDIA_REQUIRES/PANDIA_ACQUIRE annotations (including annotations on
-//       header declarations applied to the same-stem .cc definitions);
-//     - the wire-verb inventory (wire::kVerbs / wire::kJournalRecordVerbs)
-//       vs. the verbs each dispatcher actually compares against;
-//     - metric-name literals at counter(/gauge(/histogram( call sites;
-//     - the raw text of DESIGN.md, when present, as the documented protocol
-//       and metric inventory.
-//
-//   Phase 2 (Analyze) runs cross-file rules over the facts:
-//     lock-order        cycles in the global lock-ordering digraph (reported
-//                       with witness acquisition paths), plus acquisition
-//                       edges that contradict the declared kLockRank* order.
-//     discarded-status  a Status/StatusOr-returning call used as a full
-//                       expression-statement — the wrapper-function cases
-//                       [[nodiscard]] cannot see.
+// Where the per-line rules (src/lint/lint.h) judge one line of one file at a
+// time, these rules compare facts gathered from the whole tree. Every file
+// is lexed with the shared lexer (src/lint/lexer.h) and distilled into
+// RepoFacts:
+//   - the wire-verb inventory (wire::kVerbs / wire::kJournalRecordVerbs)
+//     vs. the verbs each dispatcher actually compares against;
+//   - metric-name literals at counter(/gauge(/histogram( call sites;
+//   - the raw text of DESIGN.md, when present, as the documented protocol
+//     and metric inventory.
+// Then the rules run over the facts:
 //     wire-verb-drift   a verb declared but not dispatched by both services,
 //                       dispatched but undeclared, or undocumented in
 //                       DESIGN.md.
@@ -34,14 +21,12 @@
 // on the anchor line of a finding suppresses it.
 //
 // The engine is file-content-driven (no filesystem access) so tests feed it
-// synthetic multi-file trees; tools/pandia_analyze.cc walks the real repo.
+// synthetic multi-file trees; tools/pandia_lint.cc walks the real repo.
 #ifndef PANDIA_SRC_LINT_ANALYZE_H_
 #define PANDIA_SRC_LINT_ANALYZE_H_
 
 #include <map>
-#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/lint/lint.h"
@@ -50,36 +35,10 @@ namespace pandia {
 namespace lint {
 
 // One input file: repo-relative forward-slash path + full content. Paths
-// matter: rules scope by them (e.g. which file is a dispatcher) and facts
-// key on them (a header's locks resolve in the same-stem .cc).
+// matter: rules scope by them (e.g. which file is a dispatcher).
 struct SourceFile {
   std::string path;
   std::string content;
-};
-
-// A util::Mutex declaration. `id` is the canonical cross-file identity: the
-// declared name literal (`Mutex mu_{"serve.service", ...}`) when present,
-// else "<stem>::<var>" for unnamed mutexes.
-struct LockDecl {
-  std::string id;
-  std::string var;        // the declared variable identifier
-  std::string stem;       // path minus extension, e.g. "src/obs/trace"
-  std::string file;
-  int line = 0;
-  std::string rank_expr;  // "kLockRankObsTrace" or "55"; empty when unranked
-  bool has_rank = false;
-  int rank = 0;           // resolved value; meaningful iff has_rank
-};
-
-// A lock-ordering edge: `to` was acquired while `from` was held.
-// `from_line` is where `from` became held (its MutexLock, or the
-// PANDIA_REQUIRES annotation); `to_line` is the nested acquisition.
-struct LockEdge {
-  std::string from;
-  std::string to;
-  std::string file;
-  int from_line = 0;
-  int to_line = 0;
 };
 
 // A wire-verb literal: either an inventory entry in wire.h or a dispatch
@@ -99,12 +58,8 @@ struct MetricSite {
   int line = 0;
 };
 
-// Everything phase 1 knows about the tree.
+// Everything the cross-file rules know about the tree.
 struct RepoFacts {
-  std::set<std::string> status_functions;
-  std::map<std::string, int> rank_constants;  // kLockRank* name -> value
-  std::vector<LockDecl> locks;
-  std::vector<LockEdge> lock_edges;
   std::vector<VerbSite> declared_verbs;        // wire::kVerbs
   std::vector<VerbSite> journal_verbs;         // wire::kJournalRecordVerbs
   std::map<std::string, std::vector<VerbSite>> dispatched_verbs;  // by file
@@ -113,39 +68,18 @@ struct RepoFacts {
   bool has_design = false;
 };
 
-// The analyzer's registered rules (names accepted by allow()).
+// The cross-file rules (names accepted by allow()).
 const std::vector<RuleInfo>& AnalyzerRules();
 
-// Phase 1: index the tree into facts. A file whose path ends in "DESIGN.md"
-// is taken as the documentation inventory; .h/.cc files are lexed; anything
-// else is ignored.
-RepoFacts IndexFiles(const std::vector<SourceFile>& files);
-
-// Phase 2: run the cross-file rules. `files` must be the same list given to
-// IndexFiles (discarded-status rescans them against the fact index, and
-// allow() comments are honored per anchor line). Findings come back sorted
-// by (file, line).
-std::vector<Finding> Analyze(const std::vector<SourceFile>& files,
-                             const RepoFacts& facts);
-
-// Both phases.
 struct AnalyzeResult {
   RepoFacts facts;
-  std::vector<Finding> findings;
+  std::vector<Finding> findings;  // sorted by (file, line)
 };
+
+// Indexes the tree and runs the cross-file rules. A file whose path ends in
+// "DESIGN.md" is taken as the documentation inventory; .h/.cc files are
+// lexed; anything else is ignored.
 AnalyzeResult AnalyzeFiles(const std::vector<SourceFile>& files);
-
-// The lock-ordering digraph in Graphviz DOT, one node per lock (labelled
-// with its declared rank) and one edge per deduplicated acquisition pair,
-// labelled with the witness site. Edges that contradict declared ranks and
-// edges on cycles are highlighted.
-std::string LockGraphDot(const RepoFacts& facts);
-
-// The locks in a topological order of the acquisition digraph (Kahn,
-// lexicographic tie-break, so the output is deterministic). Locks on cycles
-// are appended at the end, sorted. This is the order kLockRank* values are
-// assigned from.
-std::vector<std::string> TopologicalLockOrder(const RepoFacts& facts);
 
 }  // namespace lint
 }  // namespace pandia

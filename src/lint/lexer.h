@@ -1,12 +1,12 @@
-// The code/comment/string-separating lexer shared by the per-line linter
-// (src/lint/lint.cc) and the whole-program analyzer (src/lint/analyze.cc).
+// The code/comment/string-separating lexer shared by the per-line rules
+// (src/lint/lint.cc) and the cross-file rules (src/lint/analyze.cc).
 //
-// Neither tool is a compiler: they lex a C++ source file just far enough to
-// know, for every byte, whether it is code, comment text, or the inside of a
-// string/char literal. The separation is what keeps a rule from firing on
+// Neither rule set is a compiler: they lex a C++ source file just far enough
+// to know, for every byte, whether it is code, comment text, or the inside of
+// a string/char literal. The separation is what keeps a rule from firing on
 // its own name in a doc comment or on forbidden tokens inside test-fixture
-// strings — and what lets the analyzer read wire verbs and metric names out
-// of real literals with exact line numbers.
+// strings — and what lets the cross-file rules read wire verbs and metric
+// names out of real literals with exact line numbers.
 //
 // Internal to src/lint (not part of the public header set): include only
 // from lint/analyze sources and their tests.

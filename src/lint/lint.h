@@ -29,8 +29,8 @@
 //   metric-name     instrument names at counter(/gauge(/histogram( sites
 //                   follow subsystem.dotted_lowercase.
 //
-// Cross-file rules (lock-order, discarded-status, wire-verb-drift,
-// metric-drift) live in the whole-program analyzer, src/lint/analyze.h.
+// The cross-file rules (wire-verb-drift, metric-drift) live in
+// src/lint/analyze.h; tools/pandia_lint.cc runs both sets in one pass.
 //
 // Any finding can be suppressed on its line with a trailing comment:
 //

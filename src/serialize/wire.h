@@ -57,12 +57,12 @@ namespace wire {
 
 inline constexpr int kProtocolVersion = 1;
 
-// The canonical verb inventory — the single source of truth that the
-// whole-program analyzer (pandia_analyze, rule `wire-verb-drift`) checks
-// against both dispatchers (serve/service.cc, serve/fleet_service.cc) and
-// against the documented protocol in DESIGN.md. Adding a verb means adding
-// it here, dispatching it in both services, and documenting it, or the
-// analyzer fails CI. Sorted; uppercase per the VERB grammar above.
+// The canonical verb inventory — the single source of truth that
+// pandia_lint's cross-file rule `wire-verb-drift` checks against both
+// dispatchers (serve/service.cc, serve/fleet_service.cc) and against the
+// documented protocol in DESIGN.md. Adding a verb means adding it here,
+// dispatching it in both services, and documenting it, or the linter fails
+// CI. Sorted; uppercase per the VERB grammar above.
 inline constexpr std::string_view kVerbs[] = {
     "ADMIT",    "COMPACT",  "DEPART",   "HELLO",    "METRICS",
     "RECORDER", "REBALANCE", "SHUTDOWN", "STATUS",   "TELEMETRY",

@@ -40,8 +40,7 @@ void OnLock(const void* mu, const char* name, int rank) {
       std::snprintf(msg, sizeof(msg),
                     "lock rank inversion: acquiring \"%s\" (rank %d) while "
                     "holding \"%s\" (rank %d); ranks must strictly ascend — "
-                    "see the lock-rank table in src/util/mutex.h and run "
-                    "pandia_analyze --dot-out to inspect the static order",
+                    "see the kLockRank* table in src/util/mutex.h",
                     NameOrUnnamed(name), rank, NameOrUnnamed(held.name),
                     held.rank);
       PANDIA_CHECK_MSG(held.rank < rank, msg);

@@ -1,22 +1,20 @@
-// Runtime lock-rank validation — the dynamic half of the deadlock defense.
+// Runtime lock-rank validation — the owner of the repo's lock order.
 //
 // Every long-lived util::Mutex carries a name and a small-integer *rank*
-// (see the kLockRank* constants in src/util/mutex.h). The discipline is
-// strict ascending acquisition: a thread may only acquire a ranked mutex
-// whose rank is greater than every ranked mutex it already holds. Ranks are
-// assigned from the topological order of the static lock-ordering digraph
-// that `pandia_analyze` extracts from the source (rule `lock-order`), so the
-// static graph and this dynamic checker validate each other: a lexical
-// nesting the analyzer misses (e.g. through a function call) still trips the
-// runtime check under the concurrency regression tests, and an analyzer
-// cycle report predicts exactly the inversion this checker would abort on.
+// from the kLockRank* table in src/util/mutex.h, which is the source of
+// truth for the acquisition order. The discipline is strict ascending
+// acquisition: a thread may only acquire a ranked mutex whose rank is
+// greater than every ranked mutex it already holds. Checking follows the
+// real call graph, so a nesting through a function call or a callback is
+// checked like a lexical one.
 //
 // Cost model: when checking is off, each Lock()/Unlock() pays one relaxed
 // atomic load. When on, a thread-local vector of held (mutex, name, rank)
 // entries is maintained; an out-of-order acquisition PANDIA_CHECK-fails
 // naming both locks. Checking defaults to on in debug builds (!NDEBUG) and
-// off in release; tests force it on with SetLockRankChecking(true) so the
-// discipline is exercised in every build type.
+// off in release; every test binary forces it on with
+// SetLockRankChecking(true) (tests/test_main.cc) so the discipline is
+// exercised in every build type.
 //
 // Unranked mutexes (the default constructor) are exempt: they are neither
 // checked nor recorded. CondVar::Wait leaves the held stack untouched — the

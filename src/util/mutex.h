@@ -32,10 +32,9 @@
 // Mutexes optionally carry a name and a rank (the kLockRank* constants
 // below): ranked mutexes participate in the runtime lock-rank check
 // (src/util/lock_rank.h), which enforces the strictly-ascending acquisition
-// order that the static lock-order analysis (pandia_analyze) derives from
-// the source. CondVar::Wait releases and re-acquires the native mutex
-// directly, so the held-rank stack is untouched across a wait — the lock is
-// conceptually held the whole time.
+// order the table declares. CondVar::Wait releases and re-acquires the
+// native mutex directly, so the held-rank stack is untouched across a wait —
+// the lock is conceptually held the whole time.
 #ifndef PANDIA_SRC_UTIL_MUTEX_H_
 #define PANDIA_SRC_UTIL_MUTEX_H_
 
@@ -49,14 +48,12 @@ namespace pandia {
 namespace util {
 
 // Lock ranks — the repo-wide acquisition order, strictly ascending: a thread
-// holding a ranked mutex may only acquire mutexes of *greater* rank. The
-// values come from the topological order of the static lock-ordering digraph
-// (`pandia_analyze`, rule `lock-order`); the runtime checker in
-// src/util/lock_rank.h enforces the same order under the concurrency
-// regression tests. Gaps are deliberate so a new lock slots in without
-// renumbering. When adding a lock: place it in the digraph (what does it
-// nest inside? what nests inside it?), pick a value between its neighbors,
-// and name the mutex at its declaration:
+// holding a ranked mutex may only acquire mutexes of *greater* rank. This
+// table is the source of truth; the runtime checker in src/util/lock_rank.h
+// enforces it in every test binary and in debug builds. Gaps are deliberate
+// so a new lock slots in without renumbering. When adding a lock: decide what
+// it nests inside and what nests inside it, pick a value between those
+// neighbors, and name the mutex at its declaration:
 //
 //   util::Mutex mu_{"serve.service", util::kLockRankServeService};
 inline constexpr int kLockRankUnranked = -1;

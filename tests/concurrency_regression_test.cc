@@ -28,21 +28,12 @@
 #include "src/serve/client.h"
 #include "src/serve/fleet_service.h"
 #include "src/serve/socket.h"
-#include "src/util/lock_rank.h"
 #include "src/util/parallel.h"
 #include "src/util/strings.h"
 #include "src/workloads/workloads.h"
 
 namespace pandia {
 namespace {
-
-// Force the runtime lock-rank checker on in every build type (it defaults
-// off under NDEBUG): while TSan hunts races, the checker validates the
-// kLockRank* acquisition order on every ranked lock these tests drive.
-const bool kLockRankCheckingForced = [] {
-  util::SetLockRankChecking(true);
-  return true;
-}();
 
 TEST(ConcurrencyRegression, ThreadPoolSubmitAndParallelForFromManyThreads) {
   std::atomic<int> ran{0};

@@ -4,6 +4,8 @@
 #include <set>
 
 #include "src/util/crc32c.h"
+#include "src/util/lock_rank.h"
+#include "src/util/mutex.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/strings.h"
@@ -235,6 +237,60 @@ TEST(Crc32c, ExtendComposesLikeOneShot) {
     crc = ExtendCrc32c(crc, text.substr(split));
     EXPECT_EQ(crc, Crc32c(text)) << "split at " << split;
   }
+}
+
+// --- runtime lock-rank checker (on in every test binary: test_main.cc) ---
+
+TEST(LockRankRuntime, ConformingAscendingOrderPasses) {
+  util::Mutex low{"util_test.low", 1};
+  util::Mutex high{"util_test.high", 2};
+  {
+    util::MutexLock outer(low);
+    util::MutexLock inner(high);
+    EXPECT_EQ(util::lock_rank_internal::HeldCountForTest(), 2u);
+  }
+  EXPECT_EQ(util::lock_rank_internal::HeldCountForTest(), 0u);
+}
+
+TEST(LockRankRuntime, UnrankedMutexesAreExempt) {
+  util::Mutex ranked{"util_test.ranked", 5};
+  util::Mutex plain;  // unranked: neither checked nor recorded
+  ranked.Lock();
+  plain.Lock();  // lower "rank" conceptually, but exempt — no death
+  EXPECT_EQ(util::lock_rank_internal::HeldCountForTest(), 1u);
+  plain.Unlock();
+  ranked.Unlock();
+}
+
+TEST(LockRankRuntime, TryLockRecordsWithoutChecking) {
+  util::Mutex low{"util_test.try_low", 1};
+  util::Mutex high{"util_test.try_high", 2};
+  high.Lock();
+  // A try-acquisition cannot deadlock, so the inversion is tolerated — but
+  // the hold is recorded so later blocking acquisitions see it.
+  ASSERT_TRUE(low.TryLock());
+  EXPECT_EQ(util::lock_rank_internal::HeldCountForTest(), 2u);
+  low.Unlock();
+  high.Unlock();
+  EXPECT_EQ(util::lock_rank_internal::HeldCountForTest(), 0u);
+}
+
+TEST(LockRankDeathTest, InversionDiesNamingBothLocks) {
+  util::Mutex low{"util_test.death_low", 1};
+  util::Mutex high{"util_test.death_high", 2};
+  high.Lock();
+  EXPECT_DEATH(low.Lock(),
+               "lock rank inversion.*util_test\\.death_low.*rank 1.*"
+               "util_test\\.death_high.*rank 2");
+  high.Unlock();
+}
+
+TEST(LockRankDeathTest, EqualRanksAlsoDie) {
+  util::Mutex first{"util_test.eq_first", 7};
+  util::Mutex second{"util_test.eq_second", 7};
+  first.Lock();
+  EXPECT_DEATH(second.Lock(), "lock rank inversion");
+  first.Unlock();
 }
 
 }  // namespace

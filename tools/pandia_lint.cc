@@ -1,10 +1,9 @@
-// pandia_lint — walks the tree and runs the repo-invariant lint rules
-// (src/lint/lint.h) over every .h/.cc file.
+// pandia_lint — walks the tree and runs the repo-invariant lint rules over
+// every .h/.cc file: the per-line rules (src/lint/lint.h) on each file, then
+// the cross-file rules (src/lint/analyze.h) on all of them together with
+// DESIGN.md.
 //
 //   pandia_lint [--root=DIR] [PATH...]   lint PATHs (default: src tests tools)
-//   pandia_lint --analyze [...]          also run the whole-program analyzer
-//                                        (lock-order, discarded-status,
-//                                        wire-verb-drift, metric-drift)
 //   pandia_lint --list-rules             print the rules and exit
 //
 // Paths are relative to --root (default: the current directory). Output is
@@ -77,24 +76,18 @@ bool CollectFiles(const fs::path& root, const std::string& target,
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  bool analyze = false;
   std::vector<std::string> targets;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg == "--list-rules") {
-      for (const pandia::lint::RuleInfo& rule : pandia::lint::Rules()) {
-        std::printf("%-17s %s\n", std::string(rule.name).c_str(),
-                    std::string(rule.summary).c_str());
-      }
-      for (const pandia::lint::RuleInfo& rule : pandia::lint::AnalyzerRules()) {
-        std::printf("%-17s [--analyze] %s\n", std::string(rule.name).c_str(),
-                    std::string(rule.summary).c_str());
+      for (const auto* rules :
+           {&pandia::lint::Rules(), &pandia::lint::AnalyzerRules()}) {
+        for (const pandia::lint::RuleInfo& rule : *rules) {
+          std::printf("%-17s %s\n", std::string(rule.name).c_str(),
+                      std::string(rule.summary).c_str());
+        }
       }
       return 0;
-    }
-    if (arg == "--analyze") {
-      analyze = true;
-      continue;
     }
     if (arg.rfind("--root=", 0) == 0) {
       root = std::string(arg.substr(7));
@@ -102,7 +95,7 @@ int main(int argc, char** argv) {
     }
     if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
-                   "usage: pandia_lint [--root=DIR] [--analyze] [PATH...]\n"
+                   "usage: pandia_lint [--root=DIR] [PATH...]\n"
                    "       pandia_lint --list-rules\n");
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
@@ -130,23 +123,23 @@ int main(int argc, char** argv) {
       std::printf("%s\n", pandia::lint::FormatFinding(finding).c_str());
       ++finding_count;
     }
-    if (analyze) {
-      sources.push_back(pandia::lint::SourceFile{file, std::move(content)});
-    }
+    sources.push_back(pandia::lint::SourceFile{file, std::move(content)});
   }
-  if (analyze) {
-    std::error_code ec;
-    const fs::path design = fs::path(root) / "DESIGN.md";
+  std::error_code ec;
+  const fs::path design = fs::path(root) / "DESIGN.md";
+  if (fs::is_regular_file(design, ec)) {
     std::string design_text;
-    if (fs::is_regular_file(design, ec) && ReadFile(design, &design_text)) {
-      sources.push_back(
-          pandia::lint::SourceFile{"DESIGN.md", std::move(design_text)});
+    if (!ReadFile(design, &design_text)) {
+      std::fprintf(stderr, "pandia_lint: cannot read DESIGN.md\n");
+      return 2;
     }
-    for (const pandia::lint::Finding& finding :
-         pandia::lint::AnalyzeFiles(sources).findings) {
-      std::printf("%s\n", pandia::lint::FormatFinding(finding).c_str());
-      ++finding_count;
-    }
+    sources.push_back(
+        pandia::lint::SourceFile{"DESIGN.md", std::move(design_text)});
+  }
+  for (const pandia::lint::Finding& finding :
+       pandia::lint::AnalyzeFiles(sources).findings) {
+    std::printf("%s\n", pandia::lint::FormatFinding(finding).c_str());
+    ++finding_count;
   }
   if (finding_count > 0) {
     std::fprintf(stderr, "pandia_lint: %zu finding%s in %zu files\n",
