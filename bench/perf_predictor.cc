@@ -115,11 +115,9 @@ void BM_EnumerateCanonicalPlacements(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateCanonicalPlacements);
 
-// Sibling-ranking benchmarks: score every canonical 18-thread placement on
-// the x5-2, the shape of one optimizer ranking run. The warm variant chains
-// a SolverWarmStart seed through the (same-thread-count) siblings — the
-// incremental re-prediction path — while the cold variant solves each from
-// the Amdahl initial state. One benchmark iteration = one full pass.
+// Sibling-ranking benchmark: score every canonical 18-thread placement on
+// the x5-2, the shape of one optimizer ranking run. One benchmark iteration
+// = one full pass.
 const std::vector<Placement>& SiblingPlacements() {
   static const std::vector<Placement> siblings = [] {
     const MachineTopology& topo = X5Pipeline().machine().topology();
@@ -132,7 +130,7 @@ const std::vector<Placement>& SiblingPlacements() {
   return siblings;
 }
 
-void BM_PredictSiblingsCold(benchmark::State& state) {
+void BM_PredictSiblings(benchmark::State& state) {
   const std::vector<Placement>& siblings = SiblingPlacements();
   for (auto _ : state) {
     for (const Placement& placement : siblings) {
@@ -142,27 +140,7 @@ void BM_PredictSiblingsCold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(siblings.size()));
 }
-BENCHMARK(BM_PredictSiblingsCold);
-
-void BM_PredictSiblingsWarm(benchmark::State& state) {
-  static const Predictor warm_predictor = [] {
-    PredictionOptions options;
-    options.warm_start = true;
-    return X5Pipeline().MakePredictor(MdPredictor().workload(), options);
-  }();
-  const std::vector<Placement>& siblings = SiblingPlacements();
-  SolverWarmStart warm;
-  for (auto _ : state) {
-    for (const Placement& placement : siblings) {
-      benchmark::DoNotOptimize(warm_predictor.PredictWarm(placement, &warm));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(siblings.size()));
-  state.counters["seeded"] =
-      static_cast<double>(warm.seeded) / static_cast<double>(warm.seeded + warm.cold);
-}
-BENCHMARK(BM_PredictSiblingsWarm);
+BENCHMARK(BM_PredictSiblings);
 
 // --parallel: serial vs parallel RankPlacements throughput on a fixed
 // sampled candidate set, with a ranking-equality check and a cache-warm

@@ -299,9 +299,9 @@ void CheckNoRawJournalIo(const Sink& sink,
   }
 }
 
-// no-raw-poll-io — the Poller abstraction and the socket helpers in
+// no-raw-poll-io — the Poller and the socket helpers in
 // src/serve/socket.cc (plus the shared plumbing in socket_internal.h) own
-// every raw event-loop and socket-creation syscall. A stray epoll_ctl or
+// every raw event-loop and socket-creation syscall. A stray poll() or
 // socket() elsewhere is a second event-loop entry point: it bypasses the
 // nonblocking/backpressure/pipelining contracts the one loop enforces.
 void CheckNoRawPollIo(const Sink& sink,
@@ -377,7 +377,7 @@ const std::vector<RuleInfo>& Rules() {
       {"no-raw-poll-io",
        "no raw event-loop/socket syscalls (epoll_*/poll/select/socket/"
        "accept) in src/ outside serve/socket.cc and socket_internal.h; the "
-       "Poller abstraction is the only event-loop entry point"},
+       "Poller is the only event-loop entry point"},
       {"todo-owner", "TODO comments must name an owner: TODO(name): ..."},
       {"metric-name",
        "instrument names at counter(/gauge(/histogram( call sites follow "

@@ -5,7 +5,7 @@
 // against flat, contiguous arrays in a reusable SolverScratch arena (see
 // solver_scratch.h) rather than per-call std::vectors, and a solve of an
 // already-seen shape allocates nothing. Results are byte-identical to the
-// retained reference implementation (src/predictor/reference_solver.cc);
+// retained reference implementation (tests/reference_solver.cc);
 // the equivalence property test (tests/solver_equivalence_test.cc) pins
 // this down across all four paper machines and an edge-case corpus.
 //
@@ -71,7 +71,6 @@ struct SolverMetrics {
   obs::Counter& total_iterations;
   obs::Counter& converged;
   obs::Counter& non_converged;
-  obs::Counter& warm_seeded;
   obs::Histogram& iterations_histogram;
 
   static SolverMetrics& Get() {
@@ -80,7 +79,6 @@ struct SolverMetrics {
         obs::MetricsRegistry::Global().counter("predictor.iterations"),
         obs::MetricsRegistry::Global().counter("predictor.converged"),
         obs::MetricsRegistry::Global().counter("predictor.non_converged"),
-        obs::MetricsRegistry::Global().counter("predictor.warm_starts"),
         obs::MetricsRegistry::Global().histogram(
             "predictor.iterations_per_predict",
             {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0})};
@@ -129,50 +127,35 @@ CoSchedulePredictor::CoSchedulePredictor(MachineDescription machine,
 
 CoSchedulePrediction CoSchedulePredictor::Predict(
     std::span<const CoScheduleRequest> requests) const {
-  return PredictWithScratch(requests, ThreadLocalScratch(), nullptr);
+  return PredictWithScratch(requests, ThreadLocalScratch());
 }
 
-CoSchedulePrediction CoSchedulePredictor::Predict(
-    std::span<const CoScheduleRequest> requests, SolverWarmStart* warm) const {
-  return PredictWithScratch(requests, ThreadLocalScratch(), warm);
-}
-
-void CoSchedulePredictor::PredictInto(
-    std::span<const CoScheduleRequest> requests, SolverWarmStart* warm,
-    CoSchedulePrediction* out) const {
-  PredictIntoWithScratch(requests, ThreadLocalScratch(), warm, out);
+void CoSchedulePredictor::PredictInto(std::span<const CoScheduleRequest> requests,
+                                      CoSchedulePrediction* out) const {
+  PredictIntoWithScratch(requests, ThreadLocalScratch(), out);
 }
 
 Prediction CoSchedulePredictor::PredictOne(const WorkloadDescription& workload,
-                                           const Placement& placement,
-                                           SolverWarmStart* warm) const {
+                                           const Placement& placement) const {
+  SolverScratch& s = ThreadLocalScratch();
+  const SolverJobRef job{&workload, &placement};
+  const SolveOutcome outcome = Solve(std::span<const SolverJobRef>(&job, 1), s);
   Prediction prediction;
-  PredictOneInto(workload, placement, warm, &prediction);
+  AssembleJob(0, s, outcome, workload.t1, &prediction);
+  prediction.resource_load.assign(s.load.begin(), s.load.end());
   return prediction;
 }
 
-void CoSchedulePredictor::PredictOneInto(const WorkloadDescription& workload,
-                                         const Placement& placement,
-                                         SolverWarmStart* warm,
-                                         Prediction* out) const {
-  SolverScratch& s = ThreadLocalScratch();
-  const SolverJobRef job{&workload, &placement};
-  const SolveOutcome outcome = Solve(std::span<const SolverJobRef>(&job, 1), s, warm);
-  AssembleJob(0, s, outcome, workload.t1, out);
-  out->resource_load.assign(s.load.begin(), s.load.end());
-}
-
 CoSchedulePrediction CoSchedulePredictor::PredictWithScratch(
-    std::span<const CoScheduleRequest> requests, SolverScratch& s,
-    SolverWarmStart* warm) const {
+    std::span<const CoScheduleRequest> requests, SolverScratch& s) const {
   CoSchedulePrediction result;
-  PredictIntoWithScratch(requests, s, warm, &result);
+  PredictIntoWithScratch(requests, s, &result);
   return result;
 }
 
 void CoSchedulePredictor::PredictIntoWithScratch(
     std::span<const CoScheduleRequest> requests, SolverScratch& s,
-    SolverWarmStart* warm, CoSchedulePrediction* out) const {
+    CoSchedulePrediction* out) const {
   PANDIA_CHECK(!requests.empty());
   const size_t num_jobs = requests.size();
   s.Size(s.job_refs, num_jobs);
@@ -180,7 +163,7 @@ void CoSchedulePredictor::PredictIntoWithScratch(
     s.job_refs[r] = SolverJobRef{requests[r].workload, &requests[r].placement};
   }
   const SolveOutcome outcome =
-      Solve(std::span<const SolverJobRef>(s.job_refs.data(), num_jobs), s, warm);
+      Solve(std::span<const SolverJobRef>(s.job_refs.data(), num_jobs), s);
 
   out->resource_load.assign(s.load.begin(), s.load.end());
   out->jobs.resize(num_jobs);
@@ -191,8 +174,7 @@ void CoSchedulePredictor::PredictIntoWithScratch(
 }
 
 CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
-    std::span<const SolverJobRef> jobs, SolverScratch& s,
-    SolverWarmStart* warm) const {
+    std::span<const SolverJobRef> jobs, SolverScratch& s) const {
   PANDIA_CHECK(!jobs.empty());
   const obs::TraceSpan predict_span("predict", static_cast<int64_t>(jobs.size()));
   obs::PredictionTrace* trace = options_.common.trace;
@@ -513,16 +495,7 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     s.comm_penalty_zeroed = false;
   }
 
-  // Warm start (opt-in, see SolverWarmStart). The first iteration always
-  // runs from the Amdahl initial state so the slowdown ceiling (§5.4) is
-  // exactly the cold solve's — seeding the ceiling-setting iteration from a
-  // neighbour was observed to clamp against a wrong ceiling and oscillate.
-  // The seed is injected as the *input* of the second iteration instead
-  // (see the bottom of the loop), jumping the trajectory next to the
-  // neighbouring fixed point once the ceiling is established. A seed that
-  // is bitwise the Amdahl initial state (an uncontended neighbour hands
-  // exactly that back) carries no information and counts as a cold start,
-  // which keeps uncontended chains on the reference trajectory.
+  // §5.4: every thread starts from its job's Amdahl utilization.
   for (size_t j = 0; j < num_jobs; ++j) {
     const double f_initial = s.job_f_initial[j];
     const int first = s.job_first_thread[j];
@@ -531,20 +504,10 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
       s.f_start[t] = f_initial;
     }
   }
-  const bool seed =
-      options_.warm_start && warm != nullptr && warm->f_start.size() == n &&
-      !std::equal(warm->f_start.begin(), warm->f_start.end(), s.f_start.begin());
-  if (options_.warm_start && warm != nullptr) {
-    ++(seed ? warm->seeded : warm->cold);
-  }
-  if (seed) {
-    SolverMetrics::Get().warm_seeded.Increment();
-  }
 
   double slowdown_ceiling = 0.0;
   int iterations = 0;
   bool converged = false;
-  bool prev_below_eps = false;
   double final_delta = 0.0;
   const int max_iterations = options_.iterate ? options_.max_iterations : 1;
 
@@ -791,17 +754,7 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     const double worst_delta =
         MaxRelativeDelta(s_overall, iter == 0 ? nullptr : prev, n_total);
     final_delta = worst_delta;
-    // Seeded solves must confirm convergence across two consecutive
-    // iterations: a seed that coincides with the Amdahl initial state (a
-    // chain that passed through an uncontended sibling hands exactly that
-    // back) makes the second iteration reproduce the first within eps
-    // while parked at a non-fixed point, and one more genuine map step
-    // always exposes that. Cold solves keep the reference criterion.
-    const bool below_eps = iter > 0 && worst_delta < options_.convergence_eps;
-    if (below_eps && (!seed || prev_below_eps)) {
-      converged = true;
-    }
-    prev_below_eps = below_eps;
+    converged = iter > 0 && worst_delta < options_.convergence_eps;
     const bool dampened = !converged && iter + 1 >= options_.dampen_after;
     if (trace != nullptr) {
       obs::PredictionIterationTrace iteration_trace;
@@ -835,9 +788,6 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
         }
       }
     }
-    if (seed && iter == 0) {
-      std::copy(warm->f_start.begin(), warm->f_start.end(), f_start);
-    }
   }
 
   // Scatter the core-major planes back into the ResourceIndex-ordered
@@ -851,12 +801,6 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     load[num_cores + core] = cl[1];
     load[2 * num_cores + core] = cl[2];
     load[3 * num_cores + core] = cl[3];
-  }
-
-  // Hand the final iteration-input state to the caller's warm-start seed so
-  // an adjacent solve can continue from here.
-  if (options_.warm_start && warm != nullptr) {
-    warm->f_start.assign(s.f_start.begin(), s.f_start.end());
   }
 
   if (trace != nullptr) {

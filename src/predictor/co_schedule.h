@@ -52,41 +52,27 @@ class CoSchedulePredictor {
   // allocations (the returned CoSchedulePrediction still owns its vectors).
   CoSchedulePrediction Predict(std::span<const CoScheduleRequest> requests) const;
 
-  // Warm-started variant: when options().warm_start is set and the seed's
-  // thread count matches, the fixed-point iteration starts from `warm`'s
-  // converged state instead of the Amdahl initial state; the converged
-  // state of this solve is written back to `warm` either way. With the
-  // option off or `warm` null this is exactly Predict() — byte-identical
-  // to the reference solver. See SolverWarmStart for invalidation rules.
-  CoSchedulePrediction Predict(std::span<const CoScheduleRequest> requests,
-                               SolverWarmStart* warm) const;
-
   // Caller-passed-arena variant for callers that manage scratch lifetime
   // themselves (tests, long-lived services). `scratch` must not be used
   // concurrently.
   CoSchedulePrediction PredictWithScratch(std::span<const CoScheduleRequest> requests,
-                                          SolverScratch& scratch,
-                                          SolverWarmStart* warm) const;
+                                          SolverScratch& scratch) const;
 
   // Allocation-free output-param variant: identical results to
-  // Predict(requests, warm), but written into *out, reusing its vectors'
+  // Predict(requests), but written into *out, reusing its vectors'
   // capacity. Callers that score many candidates in a loop (the rack's
   // admission probes) keep one CoSchedulePrediction alive and stop paying
   // a result-vector allocation per call.
   void PredictInto(std::span<const CoScheduleRequest> requests,
-                   SolverWarmStart* warm, CoSchedulePrediction* out) const;
-
-  // Output-param form of PredictOne; same reuse contract as PredictInto.
-  void PredictOneInto(const WorkloadDescription& workload, const Placement& placement,
-                      SolverWarmStart* warm, Prediction* out) const;
+                   CoSchedulePrediction* out) const;
 
   // Single-job fast path: byte-identical to Predict() on a one-element
   // request span, but reads the placement by reference and assembles the
   // Prediction directly, skipping the CoSchedulePrediction wrapper and its
   // duplicate resource_load vector. This is the path Predictor::Predict
   // rides.
-  Prediction PredictOne(const WorkloadDescription& workload, const Placement& placement,
-                        SolverWarmStart* warm = nullptr) const;
+  Prediction PredictOne(const WorkloadDescription& workload,
+                        const Placement& placement) const;
 
   const MachineDescription& machine() const { return machine_; }
   const PredictionOptions& options() const { return options_; }
@@ -101,13 +87,12 @@ class CoSchedulePredictor {
   // Runs assembly plus the iterative model, leaving the converged per-thread
   // state (s_overall, s_resource, penalties, bottleneck) and the final
   // resource loads in `s`.
-  SolveOutcome Solve(std::span<const SolverJobRef> jobs, SolverScratch& s,
-                     SolverWarmStart* warm) const;
+  SolveOutcome Solve(std::span<const SolverJobRef> jobs, SolverScratch& s) const;
 
   // The shared core of PredictWithScratch / PredictInto: solves and writes
   // the joint prediction into *out (resize/assign, capacity reused).
   void PredictIntoWithScratch(std::span<const CoScheduleRequest> requests,
-                              SolverScratch& scratch, SolverWarmStart* warm,
+                              SolverScratch& scratch,
                               CoSchedulePrediction* out) const;
 
   // Builds job j's Prediction from the solved scratch state. Does not fill

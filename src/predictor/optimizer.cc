@@ -65,35 +65,17 @@ obs::Counter& PlacementsEvaluatedCounter() {
 // Predicts every candidate, fanning out across options.common.jobs workers. Each
 // prediction lands in the slot matching its candidate index, so the result
 // vector is identical to a serial loop regardless of job count.
-//
-// With PredictionOptions::warm_start set the predict stage instead runs
-// serially, chaining a SolverWarmStart seed through the candidates in their
-// deterministic enumeration/sample order: canonical enumeration emits long
-// runs of same-thread-count siblings, so most solves start from an adjacent
-// converged state. Warm results are within convergence_eps of cold ones but
-// not byte-identical, so the cache is bypassed (the flag splits the context
-// fingerprint as well).
 std::vector<Prediction> PredictCandidates(const Predictor& predictor,
                                           const std::vector<Placement>& candidates,
                                           const OptimizerOptions& options) {
   obs::InstallParallelMetrics();
   PlacementsEvaluatedCounter().Increment(candidates.size());
   std::vector<Prediction> predictions(candidates.size());
-  if (predictor.options().warm_start) {
-    SolverWarmStart warm;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      predictions[i] = predictor.PredictWarm(candidates[i], &warm);
-    }
-    static obs::Counter& warm_ranked =
-        obs::MetricsRegistry::Global().counter("optimizer.warm_ranked");
-    warm_ranked.Increment(candidates.size());
-  } else {
-    PredictionCache* cache =
-        options.common.use_cache ? &PredictionCache::Global() : nullptr;
-    util::ParallelFor(candidates.size(), options.common.jobs, [&](size_t i) {
-      predictions[i] = PredictCached(predictor, candidates[i], cache);
-    });
-  }
+  PredictionCache* cache =
+      options.common.use_cache ? &PredictionCache::Global() : nullptr;
+  util::ParallelFor(candidates.size(), options.common.jobs, [&](size_t i) {
+    predictions[i] = PredictCached(predictor, candidates[i], cache);
+  });
   // Divergent solves keep their slot (the ranking stays deterministic and
   // complete) but are surfaced: counted here, flagged in reports, and never
   // memoized (see PredictCached).

@@ -98,9 +98,6 @@ uint64_t MachineOptionsFingerprint(const MachineDescription& machine,
   HashInt(h, options.model_load_balance ? 1 : 0);
   HashInt(h, options.iterate ? 1 : 0);
   HashInt(h, options.retry_on_divergence ? 1 : 0);
-  // Warm-started solves converge within eps of cold ones but are not
-  // byte-identical, so the flag must split the key space.
-  HashInt(h, options.warm_start ? 1 : 0);
   return h;
 }
 

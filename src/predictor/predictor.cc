@@ -46,24 +46,11 @@ StatusOr<Predictor> Predictor::Create(MachineDescription machine,
 }
 
 Prediction Predictor::Predict(const Placement& placement) const {
-  return PredictWarm(placement, nullptr);
-}
-
-Prediction Predictor::PredictWarm(const Placement& placement,
-                                  SolverWarmStart* warm) const {
-  Prediction prediction;
-  PredictInto(placement, warm, &prediction);
-  return prediction;
-}
-
-void Predictor::PredictInto(const Placement& placement, SolverWarmStart* warm,
-                            Prediction* out) const {
   // The single-workload model (§5) is the one-job case of the co-scheduling
   // engine; see co_schedule.cc for the iterative model itself. The one-job
   // fast path skips the CoSchedulePrediction wrapper and the Placement copy
   // a CoScheduleRequest would cost.
-  Prediction& prediction = *out;
-  engine_->PredictOneInto(workload_, placement, warm, &prediction);
+  Prediction prediction = engine_->PredictOne(workload_, placement);
 
   // Adaptive damping: a run that hit max_iterations while still moving by a
   // lot is oscillating, not slowly converging. Retry once with dampening
@@ -84,9 +71,6 @@ void Predictor::PredictInto(const Placement& placement, SolverWarmStart* warm,
     retries.Increment();
     PredictionOptions damped = options_;
     damped.dampen_after = 1;
-    // The retry always cold-starts: a warm seed that led the solve into
-    // oscillation is no basis for the stabilized re-solve.
-    damped.warm_start = false;
     const CoSchedulePredictor damped_engine(machine_, damped);
     Prediction retried = damped_engine.PredictOne(workload_, placement);
     if (retried.converged || retried.final_delta < prediction.final_delta) {
@@ -95,11 +79,8 @@ void Predictor::PredictInto(const Placement& placement, SolverWarmStart* warm,
     } else {
       unrecovered.Increment();
     }
-    // A seed that fed an oscillating solve is invalid for neighbours too.
-    if (warm != nullptr) {
-      warm->f_start.clear();
-    }
   }
+  return prediction;
 }
 
 StatusOr<Prediction> Predictor::TryPredict(const Placement& placement) const {

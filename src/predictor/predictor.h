@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/machine_desc/machine_description.h"
-#include "src/predictor/solver_scratch.h"
 #include "src/topology/placement.h"
 #include "src/util/common_options.h"
 #include "src/util/status.h"
@@ -60,23 +59,6 @@ struct PredictionOptions {
   // to converge (iterate, convergence_eps > 0, dampen_after > 1); outcomes
   // are counted in the predictor.divergence_* metrics.
   bool retry_on_divergence = true;
-
-  // Incremental re-prediction (opt-in). When true, callers that score many
-  // adjacent problems (optimizer rankings, rack admission candidate scans)
-  // seed each fixed-point solve from the previous solve's converged state
-  // (see SolverWarmStart) instead of cold-starting. Warm solves stop in
-  // the same convergence plateau as cold solves — both halt when
-  // successive iterates move by less than convergence_eps, so on slowly
-  // contracting problems either may park up to ~1% from the mathematical
-  // fixed point, and warm speedups typically agree with cold ones to well
-  // under 1% (bit-exact on problems that converge immediately). They are
-  // not byte-identical, so this is off by default: the default ("exact")
-  // mode is byte-identical to the retained reference solver. The flag is
-  // part of the context fingerprint, and warm-started rankings bypass the
-  // prediction cache and run their predict stage serially (seed chaining
-  // is order-dependent). Re-score the winning candidate with an exact
-  // predictor when the final number matters.
-  bool warm_start = false;
 };
 
 // A final_delta above this after max_iterations marks a divergent (not just
@@ -131,20 +113,6 @@ class Predictor {
   // and a thread-local scratch arena: repeated calls perform no solver-
   // internal heap allocations.
   Prediction Predict(const Placement& placement) const;
-
-  // Warm-started variant for scoring runs of adjacent placements: with
-  // options().warm_start set, the solve seeds from `warm`'s converged
-  // state (when thread counts match) and writes its own converged state
-  // back. With the option off or `warm` null this is exactly Predict().
-  Prediction PredictWarm(const Placement& placement, SolverWarmStart* warm) const;
-
-  // Allocation-free output-param overload: identical results to
-  // PredictWarm(placement, warm), but written into *out with its vectors'
-  // capacity reused, so tight scoring loops (candidate scans, rack
-  // admission probes) stop paying a result-vector allocation per call.
-  // The returning APIs above are thin wrappers over this.
-  void PredictInto(const Placement& placement, SolverWarmStart* warm,
-                   Prediction* out) const;
 
   // Predict with the placement validated first (shape and thread count);
   // for placements assembled from user input.

@@ -158,34 +158,6 @@ struct SolverScratch {
   }
 };
 
-// Warm-start seed for incremental re-prediction: the utilization-iteration
-// input state (f_start) a previous solve converged with. A seeded solve
-// still runs its first iteration from the Amdahl initial state (that
-// iteration sets the §5.4 slowdown ceiling, which must match the cold
-// solve's), then continues from the converged neighbour — reaching the
-// fixed point in far fewer iterations than a full cold trajectory when the
-// cold solve needs many.
-//
-// Invalidation rules: a seed is only applied when its thread count matches
-// the new problem's total thread count exactly — otherwise the solve cold-
-// starts and the seed is overwritten by the new converged state. A seed
-// bitwise-equal to the Amdahl initial state also counts as cold (it
-// carries no information). Seeds must never be carried across machines,
-// workloads, or solver options (the warm_start flag is part of the context
-// fingerprint, and callers that chain seeds do so within one ranking or
-// one rack machine only). Seeded solves confirm convergence over two
-// consecutive below-eps iterations and stop in the same convergence
-// plateau as cold solves (speedups typically within ~1%), but are not
-// byte-identical; the exact-mode default never reads a seed (see
-// PredictionOptions::warm_start).
-struct SolverWarmStart {
-  std::vector<double> f_start;
-  // Solves seeded (thread counts matched) vs cold-started through this
-  // seed, for callers that want to report reuse rates.
-  uint64_t seeded = 0;
-  uint64_t cold = 0;
-};
-
 }  // namespace pandia
 
 #endif  // PANDIA_SRC_PREDICTOR_SOLVER_SCRATCH_H_

@@ -365,14 +365,6 @@ std::optional<Rack::Candidate> Rack::BestCandidateOn(
       &workload,
       Placement(topo, std::vector<uint8_t>(static_cast<size_t>(topo.NumCores()), 0))});
   CoSchedulePrediction joint;
-  // Candidate joint solves chain a warm-start seed when the option is on:
-  // consecutive candidates differ in one placement, so the previous
-  // converged state is an excellent starting point. The seed is local to
-  // this probe (Admit probes machines concurrently; each worker owns its
-  // machine's seed) and self-invalidates whenever the joint thread count
-  // changes.
-  SolverWarmStart warm;
-  SolverWarmStart* const warm_ptr = options_.warm_start ? &warm : nullptr;
   for (int total = 1; total <= want; ++total) {
     for (int k = 1; k <= topo.num_sockets; ++k) {
       for (const bool spread : {true, false}) {
@@ -398,7 +390,7 @@ std::optional<Rack::Candidate> Rack::BestCandidateOn(
         // candidate is a novel transient context, and inserting thousands of
         // them would only churn the cache.
         requests.back().placement = placement;
-        engine.PredictInto(requests, warm_ptr, &joint);
+        engine.PredictInto(requests, &joint);
         Candidate candidate{placement, joint.jobs.back().speedup, 0.0};
         for (const Prediction& prediction : joint.jobs) {
           candidate.total_speedup += prediction.speedup;

@@ -18,8 +18,7 @@
 // RECORDER, and SHUTDOWN (COMPACT and the HELLO handshake — protocol
 // version + capability list — are post-v1 extensions; the protocol version
 // only moves on incompatible changes). Unknown verbs parse fine and earn a
-// structured err response, which is what lets HELLO-speaking clients
-// negotiate with pre-HELLO servers.
+// structured err response.
 //
 // Values are escaped so arbitrary text — including the multi-line workload
 // description documents carried by ADMIT — fits in one space-separated

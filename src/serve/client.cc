@@ -134,11 +134,7 @@ Status Client::Handshake() {
     return response.status();  // transport failure: the server is not there
   }
   if (!response->ok) {
-    // A pre-HELLO server answers with a structured err (unknown verb).
-    // That IS a successful negotiation: protocol v1, nothing advertised.
-    protocol_version_ = wire::kProtocolVersion;
-    capabilities_.clear();
-    return Status::Ok();
+    return Status(response->code, "server refused HELLO: " + response->error);
   }
   for (const std::string& row : response->payload) {
     const size_t eq = row.find(" = ");

@@ -13,11 +13,9 @@
 //
 // Connect() performs the HELLO handshake by default: the server advertises
 // its protocol version and capability list (e.g. "fleet", "compact"), which
-// the client exposes via protocol_version() / has_capability(). A pre-HELLO
-// server answers HELLO with a structured `err invalid-argument`; the client
-// treats that as protocol 1 with no advertised capabilities and carries on —
-// the handshake never breaks compatibility. Transport failures during the
-// handshake do fail Connect().
+// the client exposes via protocol_version() / has_capability(). Every
+// pandia_serve answers HELLO, so an `err` reply fails Connect() with the
+// reply's code, as does a transport failure during the handshake.
 //
 // Calls are synchronous but pipelined: CallMany() writes every request line
 // before reading any response, so a batch costs one round trip. The lower
@@ -67,8 +65,8 @@ class Client {
   Client& operator=(const Client&) = delete;
   ~Client();
 
-  // Handshake results. Without a handshake (or against a pre-HELLO server)
-  // the protocol version is wire::kProtocolVersion and capabilities empty.
+  // Handshake results. Without a handshake the protocol version is
+  // wire::kProtocolVersion and capabilities empty.
   int protocol_version() const { return protocol_version_; }
   const std::vector<std::string>& capabilities() const { return capabilities_; }
   bool has_capability(std::string_view name) const;

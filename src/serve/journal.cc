@@ -18,7 +18,6 @@ namespace pandia {
 namespace serve {
 namespace {
 
-constexpr const char kMagicV1[] = "pandia-journal v1";
 constexpr const char kMagicV2[] = "pandia-journal v2";
 
 int64_t NowNs() {
@@ -255,7 +254,6 @@ Journal::Journal(Journal&& other) noexcept
       options_(other.options_),
       file_(std::exchange(other.file_, nullptr)),
       recovery_(std::move(other.recovery_)),
-      version_(other.version_),
       next_seq_(other.next_seq_),
       record_count_(other.record_count_),
       records_since_snapshot_(other.records_since_snapshot_),
@@ -272,7 +270,6 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     options_ = other.options_;
     file_ = std::exchange(other.file_, nullptr);
     recovery_ = std::move(other.recovery_);
-    version_ = other.version_;
     next_seq_ = other.next_seq_;
     record_count_ = other.record_count_;
     records_since_snapshot_ = other.records_since_snapshot_;
@@ -332,26 +329,20 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
     const size_t header_end = text.find('\n');
     if (header_end == std::string::npos) {
       // The header line itself is torn (crash between creating the file and
-      // flushing the magic). Only a recognizable magic prefix is forgiven;
+      // flushing the magic). Only a prefix of the magic is forgiven;
       // anything else is not a journal.
-      if (std::string_view(kMagicV2).rfind(text, 0) == 0 ||
-          std::string_view(kMagicV1).rfind(text, 0) == 0) {
-        journal.recovery_.truncated_torn_tail = true;
-        journal.recovery_.truncated_bytes = text.size();
-        keep_bytes = 0;
-      } else {
+      if (std::string_view(kMagicV2).rfind(text, 0) != 0) {
         return Status::DataLoss(StrFormat("journal '%s' does not start with '%s'",
                                           journal.path_.c_str(), kMagicV2));
       }
+      journal.recovery_.truncated_torn_tail = true;
+      journal.recovery_.truncated_bytes = text.size();
+      keep_bytes = 0;
     } else {
-      const std::string_view header(text.data(), header_end);
-      if (header == kMagicV1) {
-        journal.version_ = 1;
-      } else if (header != kMagicV2) {
+      if (std::string_view(text.data(), header_end) != kMagicV2) {
         return Status::DataLoss(StrFormat("journal '%s' does not start with '%s'",
                                           journal.path_.c_str(), kMagicV2));
       }
-      journal.recovery_.version = journal.version_;
 
       // Walk the record lines. `pos` is the byte offset of the current
       // line's start — the truncation point if that line turns out torn.
@@ -375,58 +366,49 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
         }
 
         std::string reason;
-        bool good = false;
         bool could_be_tear = false;
         Frame frame;
+        bool good = ParseFrame(line, &frame, &reason, &could_be_tear);
+        if (good && journal.recovery_.records.empty()) {
+          // Sequence numbers continue across compaction, so a compacted
+          // journal legitimately starts above 1: the first record anchors
+          // the expected sequence for the rest of the walk.
+          expected_seq = frame.seq;
+        }
+        if (good && frame.seq != expected_seq) {
+          reason = StrFormat("sequence %llu where %llu was expected",
+                             static_cast<unsigned long long>(frame.seq),
+                             static_cast<unsigned long long>(expected_seq));
+          good = false;
+        }
         wire::Request request;
-        if (journal.version_ == 1) {
-          // v1: raw request lines, no framing to verify. Parse errors are
-          // corruption wherever they occur — v1 predates torn-tail
-          // recovery, and silently dropping a record would change replay.
-          StatusOr<wire::Request> parsed = wire::ParseRequest(line);
+        if (good) {
+          StatusOr<wire::Request> parsed = wire::ParseRequest(frame.payload);
           if (!parsed.ok()) {
+            // The checksum passed, so these are exactly the bytes the
+            // writer framed: a malformed payload is writer corruption,
+            // never a tear.
             return Status::DataLoss(StrFormat("journal line %zu: %s", line_number,
                                               parsed.status().message().c_str()));
           }
           request = *std::move(parsed);
-          good = true;
-        } else if (ParseFrame(line, &frame, &reason, &could_be_tear)) {
-          if (journal.recovery_.records.empty()) {
-            // Sequence numbers continue across compaction, so a compacted
-            // journal legitimately starts above 1: the first record
-            // anchors the expected sequence for the rest of the walk.
-            expected_seq = frame.seq;
-          }
-          if (frame.seq != expected_seq) {
-            reason = StrFormat("sequence %llu where %llu was expected",
-                               static_cast<unsigned long long>(frame.seq),
-                               static_cast<unsigned long long>(expected_seq));
-          } else {
-            StatusOr<wire::Request> parsed = wire::ParseRequest(frame.payload);
-            if (!parsed.ok()) {
-              // The checksum passed, so these are exactly the bytes the
-              // writer framed: a malformed payload is writer corruption,
-              // never a tear.
-              return Status::DataLoss(StrFormat(
-                  "journal line %zu: %s", line_number,
-                  parsed.status().message().c_str()));
-            }
-            request = *std::move(parsed);
-            good = true;
-          }
-        }
-
-        if (!good && journal.version_ == 2) {
+        } else if (terminated || !could_be_tear) {
           // Only a tear signature on an unterminated final line is
           // recoverable. A terminated defective record (the newline proves
           // the whole line landed), a full-length payload with a CRC
           // mismatch, or a checksum-valid record with the wrong sequence
           // number cannot come from a write cut short — that is bit-rot or
           // a writer bug, refused like mid-file corruption (journal.h).
-          if (terminated || !could_be_tear) {
-            return Status::DataLoss(StrFormat("journal line %zu: %s",
-                                              line_number, reason.c_str()));
-          }
+          return Status::DataLoss(StrFormat("journal line %zu: %s", line_number,
+                                            reason.c_str()));
+        }
+
+        if (!terminated) {
+          // A torn final record — or a complete, verified one missing only
+          // its newline: the tear took the separator but not the data.
+          // Keeping the latter would glue the next append onto the same
+          // line, and it was never acknowledged with a full write, so both
+          // are truncated.
           if (LooksLikeTornSnapshot(line)) {
             // A snapshot only reaches the journal via fsync-then-rename;
             // a torn one means that contract broke, and truncating it
@@ -442,41 +424,12 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
           break;
         }
 
-        if (!terminated) {
-          // A complete, verified record missing only its newline: the tear
-          // took the separator but not the data. Keep the bytes? No —
-          // appending the next record would glue two records onto one
-          // line. Truncate it like any other tear (it was never
-          // acknowledged with a full write).
-          if (journal.version_ == 2) {
-            if (LooksLikeTornSnapshot(line)) {
-              return Status::DataLoss(StrFormat(
-                  "journal line %zu: snapshot record is truncated; refusing "
-                  "to recover (compaction atomicity was violated)",
-                  line_number));
-            }
-            journal.recovery_.truncated_torn_tail = true;
-            journal.recovery_.truncated_bytes = text.size() - pos;
-            keep_bytes = pos;
-            break;
-          }
-          // v1 tolerated an unterminated final line; keep replaying it.
-        }
-
         journal.recovery_.records.push_back(
             JournalRecord{std::move(request), line_number});
-        if (journal.version_ == 2) {
-          ++expected_seq;
-        }
-        if (!terminated) {
-          break;
-        }
+        ++expected_seq;
         pos = newline + 1;
       }
-      journal.next_seq_ =
-          journal.version_ == 2
-              ? expected_seq
-              : static_cast<uint64_t>(journal.recovery_.records.size()) + 1;
+      journal.next_seq_ = expected_seq;
     }
   }
 
@@ -504,7 +457,6 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
         std::fflush(journal.file_) != 0) {
       return ErrnoStatus("cannot write journal header", journal.path_);
     }
-    journal.version_ = 2;
     journal.size_bytes_ = std::strlen(kMagicV2) + 1;
     journal.next_seq_ = 1;
     return journal;
@@ -545,11 +497,6 @@ void Journal::RestoreTail() {
 }
 
 Status Journal::Append(const wire::Request& record) {
-  if (version_ == 1) {
-    return Status::FailedPrecondition(StrFormat(
-        "journal '%s' is v1 (read-only); compact it to v2 before appending",
-        path_.c_str()));
-  }
   if (dirty_) {
     RestoreTail();
     if (dirty_) {
@@ -679,7 +626,6 @@ Status Journal::Compact(const wire::Request& snapshot) {
   // if the reopen fails — in that case dirty_ makes the next Append retry
   // the reopen (via RestoreTail) instead of writing through a dead stream.
   Close();
-  version_ = 2;
   next_seq_ = snapshot_seq + 1;
   record_count_ = 1;
   records_since_snapshot_ = 0;

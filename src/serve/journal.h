@@ -55,9 +55,9 @@
 // tmp is durable before the rename. Stale `<path>.tmp` files from crashed
 // compactions are removed on Open.
 //
-// v1 journals ("pandia-journal v1": raw request lines, no checksums) are
-// recovered read-only for backward compatibility; the owner compacts to v2
-// before the first new append (needs_upgrade()).
+// A file whose first line is anything but the v2 magic (or, unterminated,
+// a torn prefix of it) is not a journal — an older "pandia-journal v1"
+// file included: Open refuses it with DataLoss and leaves its bytes alone.
 //
 // A failed append (real or injected) may leave partial — or even
 // complete but unacknowledged — record bytes in the file. Append repairs
@@ -118,10 +118,9 @@ struct JournalRecord {
 
 // What Open() found in an existing file.
 struct JournalRecovery {
-  int version = 2;  // header version (1: legacy raw-line journal)
   std::vector<JournalRecord> records;
-  // A torn final record was truncated away (v2 only). The byte count is
-  // what was dropped; the caller should log the event.
+  // A torn final record was truncated away. The byte count is what was
+  // dropped; the caller should log the event.
   bool truncated_torn_tail = false;
   uint64_t truncated_bytes = 0;
 };
@@ -143,9 +142,6 @@ class Journal {
 
   const std::string& path() const { return path_; }
   const JournalRecovery& recovery() const { return recovery_; }
-  // True for a recovered v1 journal: call Compact() (rewriting the file as
-  // a v2 snapshot) before the first Append.
-  bool needs_upgrade() const { return version_ == 1; }
   // Sequence number the next appended record will carry.
   uint64_t next_seq() const { return next_seq_; }
   // Records currently in the file (snapshot included, header excluded).
@@ -155,11 +151,11 @@ class Journal {
   uint64_t records_since_snapshot() const { return records_since_snapshot_; }
   uint64_t size_bytes() const { return size_bytes_; }
 
-  // Appends one record (fails on a v1 journal until it is upgraded). On
-  // success the record is at least page-cache durable (fflush), fsync'd per
-  // the sync policy. A failed append leaves the in-memory counters
-  // unchanged AND restores the file to the last acknowledged record (see
-  // the tail-repair note above), so a later append continues cleanly.
+  // Appends one record. On success the record is at least page-cache
+  // durable (fflush), fsync'd per the sync policy. A failed append leaves
+  // the in-memory counters unchanged AND restores the file to the last
+  // acknowledged record (see the tail-repair note above), so a later
+  // append continues cleanly.
   [[nodiscard]] Status Append(const wire::Request& record);
 
   // Atomically replaces the journal with header + `snapshot` (one record
@@ -188,7 +184,6 @@ class Journal {
   JournalOptions options_;
   std::FILE* file_ = nullptr;
   JournalRecovery recovery_;
-  int version_ = 2;
   uint64_t next_seq_ = 1;
   uint64_t record_count_ = 0;
   uint64_t records_since_snapshot_ = 0;

@@ -294,19 +294,12 @@ bool PlacementService::degraded() const {
 }
 
 wire::Response PlacementService::Dispatch(const wire::Request& request) {
-  if (IsMutatingVerb(request.verb) && journal_ != nullptr) {
-    if (journal_->needs_upgrade()) {
-      // First mutation on a recovered v1 journal: rewrite it as a v2
-      // snapshot before any record needs appending.
-      if (Status upgraded = CompactJournal(); !upgraded.ok()) {
-        return wire::Response::Failure(upgraded);
-      }
-    } else if (degraded_ && !ProbeJournal()) {
-      return wire::Response::Failure(Status::Unavailable(StrFormat(
-          "journal '%s' is unavailable; serving read-only (STATUS, METRICS, "
-          "TELEMETRY, RECORDER)",
-          options_.journal_path.c_str())));
-    }
+  if (IsMutatingVerb(request.verb) && journal_ != nullptr && degraded_ &&
+      !ProbeJournal()) {
+    return wire::Response::Failure(Status::Unavailable(StrFormat(
+        "journal '%s' is unavailable; serving read-only (STATUS, METRICS, "
+        "TELEMETRY, RECORDER)",
+        options_.journal_path.c_str())));
   }
   wire::Response response = DispatchVerb(request);
   // Compaction opportunity: a mutation just landed and most of the journal

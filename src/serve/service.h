@@ -80,8 +80,7 @@ struct ServiceOptions {
   PredictionOptions prediction;
   // Durable mutation journal; empty disables journaling. When the file
   // already exists it is recovered and replayed before serving (restart
-  // recovery); a v1 journal replays read-only and is rewritten as v2 on the
-  // first mutation.
+  // recovery).
   std::string journal_path;
   // Journal durability knobs: sync policy, fsync cadence, and the test-only
   // injected-failure count (see src/serve/journal.h).
@@ -161,8 +160,8 @@ class PlacementService : public RequestHandler {
   PlacementService(std::vector<rack::RackMachine> machines, ServiceOptions options);
 
   // Dispatch wraps DispatchVerb with the journal gates: the degraded-mode
-  // probe and v1 upgrade before a mutation, the automatic-compaction check
-  // after a successful one.
+  // probe before a mutation, the automatic-compaction check after a
+  // successful one.
   wire::Response Dispatch(const wire::Request& request) PANDIA_REQUIRES(mu_);
   wire::Response DispatchVerb(const wire::Request& request)
       PANDIA_REQUIRES(mu_);
@@ -201,8 +200,8 @@ class PlacementService : public RequestHandler {
   // Degraded-mode gate for mutating verbs: appends a NOTE probe record
   // (replay skips NOTEs); true restores normal service.
   bool ProbeJournal() PANDIA_REQUIRES(mu_);
-  // Snapshots the rack into the journal (COMPACT verb, the automatic
-  // trigger, and the v1-to-v2 upgrade all funnel through here).
+  // Snapshots the rack into the journal (the COMPACT verb and the
+  // automatic trigger both funnel through here).
   Status CompactJournal() PANDIA_REQUIRES(mu_);
   // Resident jobs per post-snapshot journal record, in [0, 1].
   double LiveRatio() const PANDIA_REQUIRES(mu_);

@@ -6,17 +6,10 @@
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <map>
-#include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/serve/socket_internal.h"
@@ -54,37 +47,25 @@ void SetBlocking(int fd) {
 struct PollerEvent {
   int fd = -1;
   bool readable = false;
-  bool writable = false;
   bool error = false;
 };
 
-// Readiness-notification backend. Level-triggered semantics on both
-// implementations: an fd with unread input (or writable space while write
-// interest is registered) keeps firing until serviced.
+// The event loop's readiness source: level-triggered poll() over an
+// interest map, so an fd with unread input (or writable space while write
+// interest is registered) keeps firing until serviced. poll() watches every
+// kind of descriptor a daemon's stdin can be — pipe, socket, terminal,
+// /dev/null, regular file — so the loop needs no second backend. The
+// pollfd array is rebuilt from the interest map on every wait: O(n) per
+// wait, which is fine at the daemon's client counts.
 class Poller {
  public:
-  virtual ~Poller() = default;
-  virtual Status Add(int fd, bool read, bool write) = 0;
-  virtual Status Update(int fd, bool read, bool write) = 0;
-  virtual void Remove(int fd) = 0;
+  // Registers `fd`, or replaces its interest set if already registered.
+  void Watch(int fd, bool read, bool write) {
+    interest_[fd] = static_cast<short>((read ? POLLIN : 0) | (write ? POLLOUT : 0));
+  }
+  void Remove(int fd) { interest_.erase(fd); }
   // Blocks until at least one fd is ready; fills `out` (empty on EINTR).
-  virtual Status Wait(std::vector<PollerEvent>* out) = 0;
-};
-
-// Portable fallback: rebuilds the pollfd array from the interest map on
-// every wait. O(n) per wait, which is fine at the daemon's client counts.
-class PollPoller : public Poller {
- public:
-  Status Add(int fd, bool read, bool write) override {
-    interest_[fd] = Events(read, write);
-    return Status::Ok();
-  }
-  Status Update(int fd, bool read, bool write) override {
-    interest_[fd] = Events(read, write);
-    return Status::Ok();
-  }
-  void Remove(int fd) override { interest_.erase(fd); }
-  Status Wait(std::vector<PollerEvent>* out) override {
+  Status Wait(std::vector<PollerEvent>* out) {
     out->clear();
     fds_.clear();
     for (const auto& [fd, events] : interest_) {
@@ -101,92 +82,16 @@ class PollPoller : public Poller {
         continue;
       }
       out->push_back(PollerEvent{
-          entry.fd,
-          (entry.revents & (POLLIN | POLLHUP | POLLERR)) != 0,
-          (entry.revents & POLLOUT) != 0,
+          entry.fd, (entry.revents & (POLLIN | POLLHUP | POLLERR)) != 0,
           (entry.revents & (POLLERR | POLLNVAL)) != 0});
     }
     return Status::Ok();
   }
 
  private:
-  static short Events(bool read, bool write) {
-    return static_cast<short>((read ? POLLIN : 0) | (write ? POLLOUT : 0));
-  }
   std::map<int, short> interest_;
   std::vector<pollfd> fds_;
 };
-
-#if defined(__linux__)
-class EpollPoller : public Poller {
- public:
-  static std::unique_ptr<EpollPoller> Create() {
-    const int fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (fd < 0) {
-      return nullptr;
-    }
-    return std::unique_ptr<EpollPoller>(new EpollPoller(fd));
-  }
-  ~EpollPoller() override { ::close(epfd_); }
-
-  Status Add(int fd, bool read, bool write) override {
-    return Ctl(EPOLL_CTL_ADD, fd, read, write);
-  }
-  Status Update(int fd, bool read, bool write) override {
-    return Ctl(EPOLL_CTL_MOD, fd, read, write);
-  }
-  void Remove(int fd) override {
-    epoll_event unused{};
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &unused);
-  }
-  Status Wait(std::vector<PollerEvent>* out) override {
-    out->clear();
-    epoll_event events[64];
-    const int n = ::epoll_wait(epfd_, events, 64, -1);
-    if (n < 0) {
-      if (errno == EINTR) {
-        return Status::Ok();
-      }
-      return ErrnoStatus("epoll_wait failed", "event loop");
-    }
-    for (int i = 0; i < n; ++i) {
-      out->push_back(PollerEvent{
-          events[i].data.fd,
-          (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0,
-          (events[i].events & EPOLLOUT) != 0,
-          (events[i].events & EPOLLERR) != 0});
-    }
-    return Status::Ok();
-  }
-
- private:
-  explicit EpollPoller(int fd) : epfd_(fd) {}
-  Status Ctl(int op, int fd, bool read, bool write) {
-    epoll_event event{};
-    event.events = (read ? static_cast<uint32_t>(EPOLLIN) : 0u) |
-                   (write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-    event.data.fd = fd;
-    if (::epoll_ctl(epfd_, op, fd, &event) != 0) {
-      return ErrnoStatus("epoll_ctl failed", StrFormat("fd %d", fd));
-    }
-    return Status::Ok();
-  }
-  int epfd_;
-};
-#endif  // defined(__linux__)
-
-std::unique_ptr<Poller> MakePoller() {
-#if defined(__linux__)
-  const char* forced = std::getenv("PANDIA_EVENT_LOOP");
-  if (forced == nullptr || std::string_view(forced) != "poll") {
-    std::unique_ptr<Poller> epoll = EpollPoller::Create();
-    if (epoll != nullptr) {
-      return epoll;
-    }
-  }
-#endif
-  return std::make_unique<PollPoller>();
-}
 
 // Per-connection (or stdin) line assembly: consumes complete lines from the
 // buffer, feeding each to the service; returns the concatenated responses.
@@ -225,9 +130,6 @@ struct Connection {
   size_t out_offset = 0;  // bytes of `out` already written to the socket
   bool peer_eof = false;  // read side closed: flush what remains, then close
   bool paused = false;    // over the high watermark: read interest dropped
-  // Interest currently registered with the poller (avoids no-op syscalls).
-  bool want_read = true;
-  bool want_write = false;
 
   size_t pending() const { return out.size() - out_offset; }
 };
@@ -309,13 +211,8 @@ bool HandleClient(RequestHandler& service, Poller& poller, int fd,
   } else if (conn.paused && conn.pending() <= kWriteLowWatermark) {
     conn.paused = false;
   }
-  const bool want_read = !conn.paused && !conn.peer_eof;
-  const bool want_write = conn.pending() > 0;
-  if (want_read != conn.want_read || want_write != conn.want_write) {
-    conn.want_read = want_read;
-    conn.want_write = want_write;
-    (void)poller.Update(fd, want_read, want_write);
-  }
+  poller.Watch(fd, /*read=*/!conn.paused && !conn.peer_eof,
+               /*write=*/conn.pending() > 0);
   return true;
 }
 
@@ -330,10 +227,7 @@ void AcceptClients(Poller& poller, int listen_fd,
       break;  // EAGAIN, or a transient accept failure: retry on next event
     }
     SetNonBlocking(client);
-    if (!poller.Add(client, /*read=*/true, /*write=*/false).ok()) {
-      ::close(client);
-      continue;
-    }
+    poller.Watch(client, /*read=*/true, /*write=*/false);
     clients.emplace(client, Connection{});
   }
 }
@@ -424,13 +318,13 @@ Status RunEventLoop(RequestHandler& service, int stdin_fd,
   // stdout_stream may be a pipe whose reader is gone; without this a single
   // fputs would SIGPIPE the process instead of failing the one write.
   std::signal(SIGPIPE, SIG_IGN);
-  std::unique_ptr<Poller> poller = MakePoller();
+  Poller poller;
   std::string stdin_buffer;
   std::map<int, Connection> clients;
   bool stdin_open = stdin_fd >= 0;
 
   const auto drop_client = [&](std::map<int, Connection>::iterator it) {
-    poller->Remove(it->first);
+    poller.Remove(it->first);
     ::close(it->first);
     clients.erase(it);
   };
@@ -441,21 +335,11 @@ Status RunEventLoop(RequestHandler& service, int stdin_fd,
   };
 
   if (stdin_open) {
-    if (Status added = poller->Add(stdin_fd, /*read=*/true, /*write=*/false);
-        !added.ok()) {
-      // epoll cannot watch regular files (a redirected stdin); fall back to
-      // poll for the whole loop rather than losing the stdin transport.
-      poller = std::make_unique<PollPoller>();
-      (void)poller->Add(stdin_fd, /*read=*/true, /*write=*/false);
-    }
+    poller.Watch(stdin_fd, /*read=*/true, /*write=*/false);
   }
   if (server != nullptr) {
     SetNonBlocking(server->listen_fd());
-    if (Status added =
-            poller->Add(server->listen_fd(), /*read=*/true, /*write=*/false);
-        !added.ok()) {
-      return added;
-    }
+    poller.Watch(server->listen_fd(), /*read=*/true, /*write=*/false);
   }
 
   std::vector<PollerEvent> events;
@@ -465,7 +349,7 @@ Status RunEventLoop(RequestHandler& service, int stdin_fd,
     if (!stdin_open && server == nullptr) {
       break;
     }
-    if (Status waited = poller->Wait(&events); !waited.ok()) {
+    if (Status waited = poller.Wait(&events); !waited.ok()) {
       close_clients();
       return waited;
     }
@@ -488,7 +372,7 @@ Status RunEventLoop(RequestHandler& service, int stdin_fd,
             responses += service.HandleLine(stdin_buffer);
             stdin_buffer.clear();
           }
-          poller->Remove(stdin_fd);
+          poller.Remove(stdin_fd);
           stdin_open = false;
         }
         if (!responses.empty()) {
@@ -500,13 +384,13 @@ Status RunEventLoop(RequestHandler& service, int stdin_fd,
         // with a socket server the daemon merely detaches stdin and keeps
         // serving clients until SHUTDOWN.
       } else if (server != nullptr && event.fd == server->listen_fd()) {
-        AcceptClients(*poller, server->listen_fd(), clients);
+        AcceptClients(poller, server->listen_fd(), clients);
       } else {
         const auto it = clients.find(event.fd);
         if (it == clients.end()) {
           continue;
         }
-        if (!HandleClient(service, *poller, event.fd, event, it->second)) {
+        if (!HandleClient(service, poller, event.fd, event, it->second)) {
           drop_client(it);
         }
       }

@@ -9,9 +9,9 @@
 // deterministic regardless of transport.
 //
 // Mechanics (see socket.cc):
-//   * epoll on Linux, with an automatic poll() fallback; setting the
-//     PANDIA_EVENT_LOOP=poll environment variable forces the fallback
-//     (tests use it to cover both backends).
+//   * one level-triggered poll() loop. poll() accepts every kind of stdin
+//     (pipe, socket, terminal, /dev/null, regular file), so there is no
+//     second backend and no fallback.
 //   * client sockets are nonblocking; requests pipeline — a client may
 //     write any number of request lines before reading, and responses
 //     stream back in order.

@@ -86,10 +86,13 @@ class PANDIA_CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
   void Unlock() PANDIA_RELEASE() {
-    mu_.unlock();
+    // Bookkeeping first: once mu_ is released another thread may destroy
+    // this mutex (ParallelFor's stack-local completion latch), so nothing
+    // after the unlock may read a member.
     if (rank_ != kLockRankUnranked && LockRankCheckingEnabled()) {
       lock_rank_internal::OnUnlock(this);
     }
+    mu_.unlock();
   }
   bool TryLock() PANDIA_TRY_ACQUIRE(true) {
     const bool acquired = mu_.try_lock();

@@ -147,7 +147,8 @@ void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& fn) {
         --outstanding;
         // Notify while holding the lock: the waiter can only re-check the
         // predicate (and then destroy these stack-local sync objects) after
-        // we release it, so NotifyOne never touches a dead cv.
+        // we release it, so NotifyOne never touches a dead cv — and
+        // Mutex::Unlock reads none of done_mu's members after the release.
         done_cv.NotifyOne();
       }
     });

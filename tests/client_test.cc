@@ -1,8 +1,8 @@
 // src/serve/client.h: the reusable daemon client — HELLO negotiation on
-// connect (including graceful fallback against pre-HELLO servers), CallMany
-// pipelining, connect retries riding through a late-starting daemon, and
-// the failure contract: timeouts surface as unavailable, a stream cut
-// mid-response as data-loss, never as a half-parsed success.
+// connect, CallMany pipelining, connect retries riding through a
+// late-starting daemon, and the failure contract: timeouts surface as
+// unavailable, a stream cut mid-response as data-loss, never as a
+// half-parsed success.
 #include "src/serve/client.h"
 
 #include <gtest/gtest.h>
@@ -143,30 +143,6 @@ TEST(Client, CallManyPipelinesInOrder) {
   EXPECT_TRUE((*responses)[2].ok);
   EXPECT_EQ((*responses)[2].verb, "HELLO");
   EXPECT_FALSE((*responses)[3].ok);
-}
-
-TEST(Client, ToleratesPreHelloServers) {
-  // A v1 server that predates HELLO answers it with a structured error;
-  // the client must treat that as protocol 1, no capabilities — and keep
-  // the connection usable.
-  const std::string path = ::testing::TempDir() + "/client_prehello.sock";
-  std::remove(path.c_str());
-  std::thread fake(ServeScript, path,
-                   std::vector<std::string>{
-                       "err invalid-argument unknown verb 'HELLO'\n.\n",
-                       "ok STATUS\njobs = 0\n.\n"},
-                   false);
-  ClientOptions options;
-  options.retries = 10;  // ride through the fake still binding its socket
-  StatusOr<Client> client = Client::Connect(path, options);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_EQ(client->protocol_version(), 1);
-  EXPECT_TRUE(client->capabilities().empty());
-  StatusOr<wire::Response> status = client->Call("STATUS");
-  ASSERT_TRUE(status.ok()) << status.status().ToString();
-  EXPECT_TRUE(status->ok);
-  client = Status::InvalidArgument("drop connection");  // hang up first
-  fake.join();
 }
 
 TEST(Client, TimeoutSurfacesAsUnavailable) {

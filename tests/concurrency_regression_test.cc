@@ -8,11 +8,12 @@
 //
 //   cmake -B build-tsan -S . -DPANDIA_SANITIZE=thread
 //   ctest --test-dir build-tsan -R Concurrency
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "src/serve/client.h"
 #include "src/serve/fleet_service.h"
 #include "src/serve/socket.h"
+#include "src/util/mutex.h"
 #include "src/util/parallel.h"
 #include "src/util/strings.h"
 #include "src/workloads/workloads.h"
@@ -72,6 +74,30 @@ TEST(ConcurrencyRegression, ThreadPoolSubmitAndParallelForFromManyThreads) {
     }
   }
   EXPECT_EQ(ran.load(), kSubmitters * kTasksEach + 100);
+}
+
+// Constructs and locks a ranked mutex in a fresh frame. Called right after
+// ParallelFor returns, its stack slots land where ParallelFor's completion
+// latch just died; noinline keeps it a real call at that depth.
+[[gnu::noinline]] void LockFreshRankedMutex() {
+  util::Mutex mu{"concurrency_test.fresh", util::kLockRankParallelDone};
+  util::MutexLock lock(mu);
+}
+
+// ParallelFor's completion latch lives on the caller's stack, and the last
+// worker's Unlock is what lets the caller return and reuse that stack. So
+// Unlock must read nothing of the mutex after releasing it; under TSan a
+// late read races with the helper's writes into the reused frame.
+TEST(ConcurrencyRegression, ParallelForLatchIsDeadAfterItsLastUnlock) {
+  constexpr int kRounds = 2000;
+  std::atomic<int> ran{0};
+  for (int round = 0; round < kRounds; ++round) {
+    util::ParallelFor(4, /*jobs=*/4, [&ran](size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    LockFreshRankedMutex();
+  }
+  EXPECT_EQ(ran.load(), 4 * kRounds);
 }
 
 TEST(ConcurrencyRegression, MetricsRegistryConcurrentRegisterAndSnapshot) {
@@ -286,14 +312,9 @@ TEST(ConcurrencyRegression, ServiceSurvivesConcurrentSocketClients) {
 // serve::Client pipelines its whole batch (CallMany) so the loop must
 // interleave partially-read requests and partially-written responses across
 // connections without cross-talk. Run against a 2-shard fleet so the fleet
-// mutex is also under contention. Exercised twice — once with the default
-// poller (epoll on Linux) and once forced onto the poll() fallback.
-void PipelinedFleetClients(const char* event_loop) {
-  if (event_loop != nullptr) {
-    ASSERT_EQ(setenv("PANDIA_EVENT_LOOP", event_loop, 1), 0);
-  } else {
-    unsetenv("PANDIA_EVENT_LOOP");
-  }
+// mutex is also under contention. The loop also watches `stdin_fd`, so each
+// case hands it one of the stdin kinds a daemon is started with.
+void PipelinedFleetClients(int stdin_fd, const char* tag) {
   const eval::Pipeline pipeline("x3-2");
   std::vector<rack::RackMachine> machines;
   for (int i = 0; i < 4; ++i) {
@@ -305,16 +326,15 @@ void PipelinedFleetClients(const char* event_loop) {
       serve::FleetService::Create(std::move(machines), options);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
 
-  const std::string path = StrFormat(
-      "%s/pandia_pipelined_%s.sock", ::testing::TempDir().c_str(),
-      event_loop == nullptr ? "default" : event_loop);
+  const std::string path = StrFormat("%s/pandia_pipelined_%s.sock",
+                                     ::testing::TempDir().c_str(), tag);
   std::remove(path.c_str());
   StatusOr<serve::SocketServer> server = serve::SocketServer::Listen(path);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  std::thread loop([&fleet, &server] {
+  std::thread loop([&fleet, &server, stdin_fd] {
     const Status served =
-        serve::RunEventLoop(**fleet, /*stdin_fd=*/-1, stdout, &*server);
+        serve::RunEventLoop(**fleet, stdin_fd, stdout, &*server);
     EXPECT_TRUE(served.ok()) << served.ToString();
   });
 
@@ -367,15 +387,28 @@ void PipelinedFleetClients(const char* event_loop) {
   ASSERT_TRUE(bye.ok()) << bye.status().ToString();
   EXPECT_TRUE(bye->ok);
   loop.join();
-  unsetenv("PANDIA_EVENT_LOOP");
 }
 
+// The names date from when the loop had an epoll backend with a poll()
+// fallback; both cases now run the one poll() loop. Here stdin is a pipe
+// that stays open and silent, as when perfbench feeds the daemon through
+// one: the loop keeps watching it while it serves the socket.
 TEST(ConcurrencyRegression, PipelinedFleetClientsDefaultPoller) {
-  PipelinedFleetClients(nullptr);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  PipelinedFleetClients(/*stdin_fd=*/fds[0], "pipe");
+  ::close(fds[1]);
+  ::close(fds[0]);
 }
 
+// Stdin is an open /dev/null, as when CI's serving benchmark starts the
+// daemon: the loop watches it, sees EOF at once, detaches it and keeps
+// serving the socket.
 TEST(ConcurrencyRegression, PipelinedFleetClientsPollFallback) {
-  PipelinedFleetClients("poll");
+  const int dev_null = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(dev_null, 0);
+  PipelinedFleetClients(dev_null, "devnull");
+  ::close(dev_null);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // src/serve/journal: the durable checksummed journal v2 — the recovery
 // matrix (round-trip, torn tail vs mid-file corruption, torn snapshot,
-// sequence gaps), compaction atomicity (snapshot rewrite, stale tmp
-// cleanup, sequence continuity), sync policies, v1 read-only compatibility
-// with upgrade-on-first-mutation, and the service-level degraded mode that
-// injected append failures drive.
+// sequence gaps, foreign headers), compaction atomicity (snapshot rewrite,
+// stale tmp cleanup, sequence continuity), sync policies, and the
+// service-level degraded mode that injected append failures drive.
 #include "src/serve/journal.h"
 
 #include <gtest/gtest.h>
@@ -65,7 +64,6 @@ TEST(Journal, FreshJournalRoundTripsRecords) {
   }
   Journal replayed = MustOpen(path);
   EXPECT_FALSE(replayed.recovery().truncated_torn_tail);
-  EXPECT_EQ(replayed.recovery().version, 2);
   ASSERT_EQ(replayed.recovery().records.size(), 3u);
   // Line numbers are exact: the magic is line 1, records start at line 2.
   for (size_t i = 0; i < 3; ++i) {
@@ -343,30 +341,35 @@ TEST(Journal, TailDefectsATearCannotProduceAreRefused) {
   std::remove(path.c_str());
 }
 
-TEST(Journal, V1JournalsRecoverReadOnly) {
-  const std::string path = TempPath("journal_v1.wire");
-  ASSERT_TRUE(WriteTextFile(path,
-                            "pandia-journal v1\n"
-                            "NOTE kind=legacy\n")
-                  .ok());
-  Journal journal = MustOpen(path);
-  EXPECT_TRUE(journal.needs_upgrade());
-  EXPECT_EQ(journal.recovery().version, 1);
-  ASSERT_EQ(journal.recovery().records.size(), 1u);
-  const Status append = journal.Append(Note("new"));
-  ASSERT_FALSE(append.ok());
-  EXPECT_EQ(append.code(), StatusCode::kFailedPrecondition);
-  // Compact upgrades in place; appending then works and the file is v2.
-  ASSERT_TRUE(journal.Compact(Note("upgraded-state")).ok());
-  EXPECT_FALSE(journal.needs_upgrade());
-  ASSERT_TRUE(journal.Append(Note("new")).ok());
-  const StatusOr<std::string> text = ReadTextFile(path);
-  ASSERT_TRUE(text.ok());
-  EXPECT_EQ(text->rfind("pandia-journal v2\n", 0), 0u) << *text;
+TEST(Journal, RefusesAnyOtherHeader) {
+  // Only the v2 magic opens. An older "pandia-journal v1" file (raw request
+  // lines, no checksums) is refused like any other non-journal — whole or
+  // with its header torn — and left byte-for-byte as found.
+  const std::string path = TempPath("journal_other_header.wire");
+  const std::vector<std::string> files = {
+      "pandia-journal v1\nNOTE kind=legacy\n",
+      "pandia-journal v1",
+      "pandia-journal v3\n" + Framed(1, wire::FormatRequest(Note("future"))),
+      "NOTE kind=headerless\n",
+  };
+  for (const std::string& text : files) {
+    SCOPED_TRACE(text);
+    ASSERT_TRUE(WriteTextFile(path, text).ok());
+    const StatusOr<Journal> journal = Journal::Open(path, JournalOptions{});
+    ASSERT_FALSE(journal.ok());
+    EXPECT_EQ(journal.status().code(), StatusCode::kDataLoss)
+        << journal.status().ToString();
+    EXPECT_NE(journal.status().message().find("pandia-journal v2"),
+              std::string::npos)
+        << journal.status().ToString();
+    const StatusOr<std::string> after = ReadTextFile(path);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, text);
+  }
   std::remove(path.c_str());
 }
 
-// --- service-level: degraded mode, COMPACT, v1 upgrade ------------------
+// --- service-level: degraded mode, COMPACT ------------------------------
 
 const eval::Pipeline& X3() {
   static const eval::Pipeline* pipeline = new eval::Pipeline("x3-2");
@@ -565,59 +568,6 @@ TEST(ServiceCompact, AutomaticCompactionFiresWhenTheLiveRatioDrops) {
   EXPECT_LE(service.journal_for_test()->record_count(), 8u);
   const std::string metrics = service.HandleLine("METRICS format=expo");
   EXPECT_NE(metrics.find("serve.journal.live_ratio"), std::string::npos);
-  std::remove(journal.c_str());
-}
-
-TEST(ServiceV1, LegacyJournalReplaysAndUpgradesOnFirstMutation) {
-  const std::string journal = TempPath("service_v1_upgrade.wire");
-  ServiceOptions options;
-  options.journal_path = journal;
-  // Produce genuine journal payloads by running a v2 service, then rewrite
-  // them as a legacy v1 file (raw request lines, no framing).
-  {
-    PlacementService seeder = MustCreate(TwoNodeRack(), options);
-    ASSERT_TRUE(IsOkBlock(seeder.HandleLine(AdmitLine("web", "EP", 2))));
-    ASSERT_TRUE(IsOkBlock(seeder.HandleLine(AdmitLine("db", "MD", 1))));
-  }
-  const StatusOr<std::string> v2_text = ReadTextFile(journal);
-  ASSERT_TRUE(v2_text.ok());
-  std::string v1_text = "pandia-journal v1\n";
-  bool header = true;
-  for (const std::string& line : StrSplit(*v2_text, '\n')) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (line.empty()) {
-      continue;
-    }
-    // Strip the "seq crc len " frame, keeping the raw payload.
-    size_t at = 0;
-    for (int spaces = 0; spaces < 3; ++spaces) {
-      at = line.find(' ', at) + 1;
-    }
-    v1_text += line.substr(at) + "\n";
-  }
-  ASSERT_TRUE(WriteTextFile(journal, v1_text).ok());
-
-  std::optional<PlacementService> service(MustCreate(TwoNodeRack(), options));
-  EXPECT_EQ(service->rack().JobCount(), 2);
-  ASSERT_NE(service->journal_for_test(), nullptr);
-  EXPECT_TRUE(service->journal_for_test()->needs_upgrade());
-  const std::string status_before = service->HandleLine("STATUS");
-
-  // The first mutation upgrades the journal (snapshot of the pre-mutation
-  // state) and then applies normally.
-  ASSERT_TRUE(IsOkBlock(service->HandleLine("DEPART name=db")));
-  EXPECT_FALSE(service->journal_for_test()->needs_upgrade());
-  const StatusOr<std::string> upgraded = ReadTextFile(journal);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_EQ(upgraded->rfind("pandia-journal v2\n", 0), 0u);
-
-  const std::string status_after_depart = service->HandleLine("STATUS");
-  service.reset();
-  std::optional<PlacementService> replayed(MustCreate(TwoNodeRack(), options));
-  EXPECT_EQ(replayed->HandleLine("STATUS"), status_after_depart);
   std::remove(journal.c_str());
 }
 

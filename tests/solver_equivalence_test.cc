@@ -1,17 +1,10 @@
-// Equivalence proof for the SoA solver rewrite: in exact mode (the
-// default, PredictionOptions::warm_start off) the production
+// Equivalence proof for the SoA solver rewrite: the production
 // CoSchedulePredictor must produce *byte-identical* predictions to the
-// retained reference solver (src/predictor/reference_solver.h) — same
+// retained reference solver (tests/reference_solver.h) — same
 // slowdowns, bottlenecks, final_delta, iteration count, and per-iteration
 // trace contents — across all four paper machines, multi-job co-schedules,
 // ablation options, and edge placements. Doubles are compared through
 // std::bit_cast so "identical" means identical bits, not within-epsilon.
-//
-// The warm-start mode is opt-in and *not* byte-identical by design (a
-// seeded fixed-point iteration follows a different trajectory); its
-// contract — within convergence_eps of the cold fixed point, deterministic
-// for a fixed call sequence, byte-exact fallback when the flag is off —
-// is pinned down here too.
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -24,9 +17,9 @@
 #include "src/eval/pipeline.h"
 #include "src/obs/prediction_trace.h"
 #include "src/predictor/co_schedule.h"
-#include "src/predictor/reference_solver.h"
 #include "src/sim/machine_spec.h"
 #include "src/workloads/workloads.h"
+#include "tests/reference_solver.h"
 
 namespace pandia {
 namespace {
@@ -249,8 +242,7 @@ TEST(SolverEquivalence, ScratchArenaStopsGrowingAfterFirstSolve) {
   // every shape must not grow any buffer: the zero-allocation property.
   for (const Placement& placement : corpus) {
     const CoScheduleRequest request{&desc, placement};
-    engine.PredictWithScratch(std::span<const CoScheduleRequest>(&request, 1), scratch,
-                              nullptr);
+    engine.PredictWithScratch(std::span<const CoScheduleRequest>(&request, 1), scratch);
   }
   const uint64_t grown = scratch.grow_events;
   EXPECT_GT(grown, 0u);
@@ -258,99 +250,10 @@ TEST(SolverEquivalence, ScratchArenaStopsGrowingAfterFirstSolve) {
     for (const Placement& placement : corpus) {
       const CoScheduleRequest request{&desc, placement};
       engine.PredictWithScratch(std::span<const CoScheduleRequest>(&request, 1),
-                                scratch, nullptr);
+                                scratch);
     }
   }
   EXPECT_EQ(scratch.grow_events, grown);
-}
-
-TEST(SolverEquivalence, WarmStartFlagOffNeverReadsSeed) {
-  const eval::Pipeline& pipeline = PipelineFor("x3-2");
-  const MachineTopology& topo = pipeline.machine().topology();
-  const WorkloadDescription& desc = Desc("x3-2", "Swim");
-  const PredictionOptions options;  // warm_start off
-  const CoSchedulePredictor engine(pipeline.description(), options);
-  const Placement placement = Placement::OnePerCore(topo, topo.NumCores());
-  const CoScheduleRequest request{&desc, placement};
-  const std::span<const CoScheduleRequest> span(&request, 1);
-  // Poison the seed: with the flag off it must be ignored and the result
-  // must stay byte-identical to the reference.
-  SolverWarmStart warm;
-  warm.f_start.assign(static_cast<size_t>(placement.TotalThreads()), 123.0);
-  ExpectJointBitIdentical(
-      engine.Predict(span, &warm),
-      ReferenceCoSchedulePredict(pipeline.description(), options, span),
-      "flag off, poisoned seed");
-  EXPECT_EQ(warm.seeded, 0u);
-}
-
-TEST(SolverEquivalence, WarmStartConvergesWithinEpsAndIsDeterministic) {
-  const eval::Pipeline& pipeline = PipelineFor("x3-2");
-  const MachineTopology& topo = pipeline.machine().topology();
-  const WorkloadDescription& desc = Desc("x3-2", "Swim");
-  PredictionOptions warm_options;
-  warm_options.warm_start = true;
-  const CoSchedulePredictor warm_engine(pipeline.description(), warm_options);
-  const CoSchedulePredictor cold_engine(pipeline.description());
-
-  // A run of same-thread-count sibling placements, the shape optimizer
-  // rankings and rack candidate scans produce. A cross-socket placement
-  // leads: its communication penalty moves the utilization state, so it
-  // hands a genuine (non-initial) seed to the siblings after it.
-  const int threads = topo.cores_per_socket;
-  std::vector<Placement> siblings;
-  std::vector<SocketLoad> split(static_cast<size_t>(topo.num_sockets));
-  split[0] = SocketLoad{threads / 2, 0};
-  split[1] = SocketLoad{threads - threads / 2, 0};
-  siblings.push_back(Placement::FromSocketLoads(topo, split));
-  std::vector<SocketLoad> lopsided(static_cast<size_t>(topo.num_sockets));
-  lopsided[0] = SocketLoad{threads - 1, 0};
-  lopsided[1] = SocketLoad{1, 0};
-  siblings.push_back(Placement::FromSocketLoads(topo, lopsided));
-  siblings.push_back(Placement::OnePerCore(topo, threads));
-  siblings.push_back(Placement::TwoPerCore(topo, threads));
-
-  auto run_chain = [&](SolverWarmStart& warm) {
-    std::vector<CoSchedulePrediction> results;
-    for (const Placement& placement : siblings) {
-      const CoScheduleRequest request{&desc, placement};
-      results.push_back(
-          warm_engine.Predict(std::span<const CoScheduleRequest>(&request, 1), &warm));
-    }
-    return results;
-  };
-  SolverWarmStart warm_a;
-  const std::vector<CoSchedulePrediction> first = run_chain(warm_a);
-  // The first solve is necessarily cold; contended same-count siblings
-  // after it are seeded (an uncontended neighbour hands the Amdahl initial
-  // state back, which counts as cold — see SolverWarmStart).
-  EXPECT_GE(warm_a.cold, 1u);
-  EXPECT_GE(warm_a.seeded, 1u);
-  EXPECT_EQ(warm_a.cold + warm_a.seeded, siblings.size());
-
-  for (size_t i = 0; i < siblings.size(); ++i) {
-    const CoScheduleRequest request{&desc, siblings[i]};
-    const CoSchedulePrediction cold =
-        cold_engine.Predict(std::span<const CoScheduleRequest>(&request, 1));
-    ASSERT_TRUE(first[i].jobs[0].converged);
-    ASSERT_TRUE(cold.jobs[0].converged);
-    // Warm and cold stop in the same convergence plateau: both halt when
-    // successive iterates move < eps, which on slowly contracting
-    // problems leaves either up to ~1% from the mathematical fixed point.
-    // The bound here is the documented 2% agreement, not eps.
-    EXPECT_NEAR(first[i].jobs[0].speedup, cold.jobs[0].speedup,
-                0.02 * cold.jobs[0].speedup)
-        << "sibling " << i;
-  }
-
-  // Determinism: replaying the identical chain with a fresh seed gives
-  // byte-identical results.
-  SolverWarmStart warm_b;
-  const std::vector<CoSchedulePrediction> second = run_chain(warm_b);
-  for (size_t i = 0; i < siblings.size(); ++i) {
-    ExpectJointBitIdentical(second[i], first[i], "replay sibling " + std::to_string(i));
-  }
-  EXPECT_EQ(warm_b.seeded, warm_a.seeded);
 }
 
 TEST(SolverEquivalence, PredictorExactModeBitIdenticalToReference) {
