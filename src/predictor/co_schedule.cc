@@ -823,6 +823,16 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
   return outcome;
 }
 
+double CoSchedulePredictor::SpeedupCeiling(const WorkloadDescription& workload,
+                                           int threads) const {
+  if (!options_.iterate || options_.max_iterations < 2) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double p = workload.parallel_fraction;
+  const double amdahl = 1.0 / ((1.0 - p) + p / threads);
+  return amdahl * static_cast<double>(threads) / threads;
+}
+
 // --- Final per-job predictions (§5.5) ---
 void CoSchedulePredictor::AssembleJob(size_t j, const SolverScratch& s,
                                       const SolveOutcome& outcome, double t1,

@@ -74,6 +74,17 @@ class CoSchedulePredictor {
   Prediction PredictOne(const WorkloadDescription& workload,
                         const Placement& placement) const;
 
+  // An admissible ceiling on the speedup any Predict call can report for
+  // `workload` on `threads` threads, whatever its co-runners: AssembleJob's
+  // speedup with every slowdown at 1, computed with the same operations in
+  // the same order. It holds bit for bit in IEEE arithmetic because from
+  // the second iteration on the §5.4 pass leaves every slowdown in
+  // [1, first-iteration maximum], so each reciprocal is at most 1, the
+  // harmonic sum at most `threads`, and rounding is monotone. When the
+  // options stop after one iteration (iterate off or max_iterations < 2)
+  // no clamp runs, and the ceiling is +infinity.
+  double SpeedupCeiling(const WorkloadDescription& workload, int threads) const;
+
   const MachineDescription& machine() const { return machine_; }
   const PredictionOptions& options() const { return options_; }
 

@@ -1,6 +1,7 @@
 #include "src/rack/rack.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -92,6 +93,16 @@ obs::Counter& DeparturesCounter() {
 }
 obs::Counter& MovesCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().counter("rack.moves");
+  return counter;
+}
+obs::Counter& ProbeCandidatesCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().counter("rack.probe.candidates");
+  return counter;
+}
+obs::Counter& ProbeSolvesCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().counter("rack.probe.solves");
   return counter;
 }
 
@@ -297,74 +308,23 @@ std::vector<Prediction> Rack::PredictMachine(int machine_index) const {
   return PredictResidents(machine_index, jobs);
 }
 
-std::optional<Rack::Candidate> Rack::BestCandidateOn(
-    int machine_index, const JobRequest& job, Policy policy,
-    const std::string* exclude_job) const {
+std::vector<Placement> Rack::CandidatePlacements(int machine_index,
+                                                int requested_threads,
+                                                const std::string* exclude_job) const {
   PANDIA_CHECK(machine_index >= 0 &&
                static_cast<size_t>(machine_index) < residents_.size());
-  const RackMachine& machine = machines_[machine_index];
-  const MachineTopology& topo = machine.description.topo;
-  const auto desc_it = job.descriptions.find(topo.name);
-  if (desc_it == job.descriptions.end()) {
-    return std::nullopt;  // no description for this machine type
-  }
-  const WorkloadDescription& workload = desc_it->second;
+  const MachineTopology& topo = machines_[machine_index].description.topo;
   const std::vector<uint8_t> free = FreeThreads(machine_index, exclude_job);
-
-  std::vector<const RackJob*> others;
-  others.reserve(residents_[machine_index].size());
-  for (const RackJob& resident : residents_[machine_index]) {
-    if (exclude_job != nullptr && resident.name == *exclude_job) {
-      continue;
-    }
-    others.push_back(&resident);
-  }
-
-  // Candidate generation (heuristic, bounded): for every feasible thread
-  // count up to the request, split the threads over the k most-free sockets
-  // (k = 1..num_sockets) as evenly as possible, in a spread and a packed
-  // per-core variant.
   std::vector<int> socket_order(static_cast<size_t>(topo.num_sockets));
   std::iota(socket_order.begin(), socket_order.end(), 0);
   std::stable_sort(socket_order.begin(), socket_order.end(), [&](int a, int b) {
     return FreeOnSocket(topo, a, free) > FreeOnSocket(topo, b, free);
   });
-  int capacity = 0;
-  for (uint8_t f : free) {
-    capacity += f;
-  }
-  const int want = std::min(job.requested_threads, capacity);
-  if (want <= 0) {
-    return std::nullopt;
-  }
+  const int capacity = std::accumulate(free.begin(), free.end(), 0);
+  const int want = std::min(requested_threads, capacity);
 
-  // Aggregate speedup of the machine's residents before the new job, so
-  // the interference objective scores the *change* caused by admitting it
-  // (a plain after-sum would reward already-busy machines). Memoized: this
-  // is the per-machine baseline that admissions re-read between mutations.
-  double before_total = 0.0;
-  for (const Prediction& prediction : PredictResidents(machine_index, others)) {
-    before_total += prediction.speedup;
-  }
-
+  std::vector<Placement> placements;
   std::set<std::vector<uint8_t>> seen;
-  std::optional<Candidate> best;
-  const CoSchedulePredictor& engine = engines_[machine_index];
-  // The joint-solve inputs and output are hoisted out of the candidate
-  // loop: the residents' requests never change between candidates (only
-  // the new job's trailing slot does), and PredictInto reuses the
-  // prediction's vector capacity, so the scan performs no per-candidate
-  // result allocations (ROADMAP item-2 leftover).
-  std::vector<CoScheduleRequest> requests;
-  requests.reserve(others.size() + 1);
-  for (const RackJob* resident : others) {
-    requests.push_back(
-        CoScheduleRequest{&resident->description, resident->placement});
-  }
-  requests.push_back(CoScheduleRequest{
-      &workload,
-      Placement(topo, std::vector<uint8_t>(static_cast<size_t>(topo.NumCores()), 0))});
-  CoSchedulePrediction joint;
   for (int total = 1; total <= want; ++total) {
     for (int k = 1; k <= topo.num_sockets; ++k) {
       for (const bool spread : {true, false}) {
@@ -378,39 +338,121 @@ std::optional<Rack::Candidate> Rack::BestCandidateOn(
           ok = BuildSocketVariant(topo, socket, here, spread, free, per_core);
           remaining -= here;
         }
-        if (!ok || remaining != 0) {
-          continue;
-        }
-        if (!seen.insert(per_core).second) {
-          continue;
-        }
-        const Placement placement(topo, per_core);
-
-        // Joint prediction with the machine's residents. Not memoized: each
-        // candidate is a novel transient context, and inserting thousands of
-        // them would only churn the cache.
-        requests.back().placement = placement;
-        engine.PredictInto(requests, &joint);
-        Candidate candidate{placement, joint.jobs.back().speedup, 0.0};
-        for (const Prediction& prediction : joint.jobs) {
-          candidate.total_speedup += prediction.speedup;
-        }
-        candidate.total_speedup -= before_total;  // net rack-wide gain
-        const bool better = [&] {
-          if (!best.has_value()) {
-            return true;
-          }
-          if (policy == Policy::kLeastInterference) {
-            return candidate.total_speedup > best->total_speedup;
-          }
-          return candidate.job_speedup > best->job_speedup;
-        }();
-        if (better) {
-          best = std::move(candidate);
+        if (ok && remaining == 0 && seen.insert(per_core).second) {
+          placements.emplace_back(topo, std::move(per_core));
         }
       }
     }
   }
+  return placements;
+}
+
+std::optional<Rack::Candidate> Rack::BestCandidateOn(int machine_index,
+                                                     const JobRequest& job,
+                                                     Policy policy,
+                                                     const std::string* exclude_job,
+                                                     double must_beat) const {
+  PANDIA_CHECK(machine_index >= 0 &&
+               static_cast<size_t>(machine_index) < residents_.size());
+  const MachineTopology& topo = machines_[machine_index].description.topo;
+  const auto desc_it = job.descriptions.find(topo.name);
+  if (desc_it == job.descriptions.end()) {
+    return std::nullopt;  // no description for this machine type
+  }
+  const WorkloadDescription& workload = desc_it->second;
+  const std::vector<Placement> placements =
+      CandidatePlacements(machine_index, job.requested_threads, exclude_job);
+  if (placements.empty()) {
+    return std::nullopt;
+  }
+  ProbeCandidatesCounter().Increment(placements.size());
+
+  std::vector<const RackJob*> others;
+  others.reserve(residents_[machine_index].size());
+  for (const RackJob& resident : residents_[machine_index]) {
+    if (exclude_job != nullptr && resident.name == *exclude_job) {
+      continue;
+    }
+    others.push_back(&resident);
+  }
+
+  // Least interference scores the *change* in the machine's aggregate
+  // speedup caused by admitting the job (a plain after-sum would reward
+  // already-busy machines), so it alone needs the residents' own joint
+  // prediction as a baseline. Its objective has no ceiling.
+  const bool interference = policy == Policy::kLeastInterference;
+  double before_total = 0.0;
+  if (interference) {
+    for (const Prediction& prediction : PredictResidents(machine_index, others)) {
+      before_total += prediction.speedup;
+    }
+  }
+  const auto objective = [&](const Candidate& candidate) {
+    return interference ? candidate.total_speedup : candidate.job_speedup;
+  };
+
+  // Bound and prune: solve candidates in descending order of their speedup
+  // ceiling, stable on enumeration index, and skip any whose ceiling cannot
+  // beat the incumbent — below it, or equal to it with a larger index (the
+  // exhaustive scan keeps the first of equal candidates). The first
+  // enumerated maximum is never skipped and no later candidate displaces
+  // it, so the result is the exhaustive scan's.
+  const CoSchedulePredictor& engine = engines_[machine_index];
+  std::vector<double> ceilings(placements.size());
+  for (size_t i = 0; i < placements.size(); ++i) {
+    ceilings[i] = interference
+                      ? std::numeric_limits<double>::infinity()
+                      : engine.SpeedupCeiling(workload, placements[i].TotalThreads());
+  }
+  std::vector<size_t> order(placements.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return ceilings[a] > ceilings[b]; });
+
+  // The residents' requests never change between candidates (only the new
+  // job's trailing slot does), and PredictInto reuses the prediction's
+  // vector capacity, so the scan performs no per-candidate result
+  // allocations.
+  std::vector<CoScheduleRequest> requests;
+  requests.reserve(others.size() + 1);
+  for (const RackJob* resident : others) {
+    requests.push_back(
+        CoScheduleRequest{&resident->description, resident->placement});
+  }
+  requests.push_back(CoScheduleRequest{&workload, placements.front()});
+  CoSchedulePrediction joint;
+  std::optional<Candidate> best;
+  size_t best_index = 0;
+  uint64_t solves = 0;
+  for (const size_t i : order) {
+    const double ceiling = ceilings[i];
+    if (ceiling <= must_beat) {
+      continue;
+    }
+    if (best.has_value() && (ceiling < objective(*best) ||
+                             (ceiling == objective(*best) && i > best_index))) {
+      continue;
+    }
+    // Joint prediction with the machine's residents. Not memoized: each
+    // candidate is a novel transient context, and inserting thousands of
+    // them would only churn the cache.
+    requests.back().placement = placements[i];
+    engine.PredictInto(requests, &joint);
+    ++solves;
+    Candidate candidate{placements[i], joint.jobs.back().speedup, 0.0};
+    if (interference) {
+      for (const Prediction& prediction : joint.jobs) {
+        candidate.total_speedup += prediction.speedup;
+      }
+      candidate.total_speedup -= before_total;  // net rack-wide gain
+    }
+    if (!best.has_value() || objective(candidate) > objective(*best) ||
+        (objective(candidate) == objective(*best) && i < best_index)) {
+      best = std::move(candidate);
+      best_index = i;
+    }
+  }
+  ProbeSolvesCounter().Increment(solves);
   return best;
 }
 
@@ -446,10 +488,13 @@ StatusOr<Assignment> Rack::Admit(const JobRequest& job, Policy policy) {
                   job.name.c_str()));
   }
 
-  // Probe every machine concurrently; the probes only read rack state and
-  // memoize through the (thread-safe) prediction cache. First-fit also
-  // probes all machines — the result (lowest feasible index) is identical
-  // to a serial scan, and the fan-out keeps admission latency flat.
+  // Probe every machine concurrently. The probes only read rack state (the
+  // least-interference baseline also goes through the thread-safe
+  // prediction cache), and each prunes against its own machine's incumbent
+  // only, so no probe depends on another's progress and the fan-out answers
+  // exactly as a serial scan. First-fit also probes all machines — the
+  // result (lowest feasible index) is the same, and the fan-out keeps
+  // admission latency flat.
   std::vector<std::optional<Candidate>> candidates(machines_.size());
   util::ParallelFor(machines_.size(), options_.common.jobs, [&](size_t m) {
     candidates[m] = BestCandidateOn(static_cast<int>(m), job, policy);

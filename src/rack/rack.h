@@ -21,6 +21,7 @@
 #define PANDIA_SRC_RACK_RACK_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -143,16 +144,40 @@ class Rack {
   struct Candidate {
     Placement placement;
     double job_speedup = 0.0;
-    double total_speedup = 0.0;  // net change in the machine's aggregate speedup
+    // Net change in the machine's aggregate speedup. Filled only under
+    // Policy::kLeastInterference, the one objective that reads it; 0
+    // under the other policies.
+    double total_speedup = 0.0;
   };
+
+  // The placements BestCandidateOn considers for `requested_threads` (trimmed
+  // to the machine's free threads) on one machine, in enumeration order: for
+  // every thread count up to the request, the threads split over the k
+  // most-free sockets (k = 1..num_sockets) as evenly as possible, in a spread
+  // and a packed per-core variant, duplicates dropped. Empty when nothing
+  // fits. `exclude_job` treats that resident's threads as free.
+  std::vector<Placement> CandidatePlacements(
+      int machine_index, int requested_threads,
+      const std::string* exclude_job = nullptr) const;
 
   // Best placement for `job` on one machine against the current residents
   // (nullopt when the job has no description for the machine's type or
-  // nothing fits). `exclude_job` evaluates the machine as if that resident
-  // had already left — the re-placement path of departures and rebalancing.
-  std::optional<Candidate> BestCandidateOn(int machine_index, const JobRequest& job,
-                                           Policy policy,
-                                           const std::string* exclude_job = nullptr) const;
+  // nothing fits): the candidate with the greatest objective — the job's
+  // speedup, or the machine's net aggregate speedup under least
+  // interference — and the first in enumeration order on a tie.
+  // `exclude_job` evaluates the machine as if that resident had already
+  // left — the re-placement path of departures and rebalancing.
+  //
+  // Candidates whose speedup ceiling (CoSchedulePredictor::SpeedupCeiling)
+  // cannot beat the best solved so far are not solved, so the result is
+  // the exhaustive scan's bit for bit. `must_beat` is a job speedup the
+  // caller rejects at or below: candidates that cannot exceed it are not
+  // solved either, so whenever the exhaustive best does not exceed it the
+  // result is nullopt or some candidate that does not exceed it.
+  std::optional<Candidate> BestCandidateOn(
+      int machine_index, const JobRequest& job, Policy policy,
+      const std::string* exclude_job = nullptr,
+      double must_beat = -std::numeric_limits<double>::infinity()) const;
 
   // Online admission: probes every machine (fanning out over
   // options().common.jobs workers), applies the best candidate under
@@ -249,9 +274,6 @@ class Rack {
   [[nodiscard]] Status RestoreState(const SavedState& state);
 
  private:
-  std::optional<Candidate> BestCandidateAgainst(int machine_index,
-                                                const JobRequest& job, Policy policy,
-                                                const std::vector<uint8_t>& free) const;
   std::vector<Prediction> PredictResidents(int machine_index,
                                            std::span<const RackJob* const> jobs) const;
   Status ValidatePlacementFits(int machine_index, const Placement& placement,

@@ -493,10 +493,12 @@ Status PlacementService::ReplaceDegraded(int machine_index,
     probe.name = name;
     probe.descriptions.emplace(type, it->description);
     probe.requested_threads = it->placement.TotalThreads();
+    // Only a move that clears the margin is taken, so the search solves
+    // only candidates whose speedup ceiling exceeds it.
+    const double must_beat = current_speedup * (1.0 + options_.replace_margin);
     const std::optional<rack::Rack::Candidate> candidate = rack_.BestCandidateOn(
-        machine_index, probe, rack::Policy::kBestSpeedup, &name);
-    if (!candidate.has_value() ||
-        candidate->job_speedup <= current_speedup * (1.0 + options_.replace_margin)) {
+        machine_index, probe, rack::Policy::kBestSpeedup, &name, must_beat);
+    if (!candidate.has_value() || candidate->job_speedup <= must_beat) {
       continue;
     }
     const rack::Rack::SavedState saved = rack_.SaveState();
@@ -635,27 +637,28 @@ wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
       probe.requested_threads = it->placement.TotalThreads();
 
       // Candidate machines: same type only (the stored description is
-      // machine-specific, §4), own machine included via self-exclusion.
+      // machine-specific, §4), own machine included via self-exclusion. A
+      // later machine wins only with a strictly greater speedup, so each
+      // search has to beat the margin and every earlier machine's best.
       std::optional<rack::Rack::Candidate> best;
       int best_machine = -1;
+      double must_beat = entry.speedup * (1.0 + options_.replace_margin);
       for (size_t m = 0; m < rack_.machines().size(); ++m) {
         if (rack_.machines()[m].description.topo.name != type) {
           continue;
         }
         const std::string* exclude =
             static_cast<int>(m) == entry.machine ? &entry.name : nullptr;
-        std::optional<rack::Rack::Candidate> candidate = rack_.BestCandidateOn(
-            static_cast<int>(m), probe, rack::Policy::kBestSpeedup, exclude);
-        if (!candidate.has_value()) {
-          continue;
-        }
-        if (!best.has_value() || candidate->job_speedup > best->job_speedup) {
+        std::optional<rack::Rack::Candidate> candidate =
+            rack_.BestCandidateOn(static_cast<int>(m), probe,
+                                  rack::Policy::kBestSpeedup, exclude, must_beat);
+        if (candidate.has_value() && candidate->job_speedup > must_beat) {
+          must_beat = candidate->job_speedup;
           best = std::move(candidate);
           best_machine = static_cast<int>(m);
         }
       }
-      if (!best.has_value() ||
-          best->job_speedup <= entry.speedup * (1.0 + options_.replace_margin)) {
+      if (!best.has_value()) {
         continue;
       }
       const rack::Rack::SavedState saved = rack_.SaveState();

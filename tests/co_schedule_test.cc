@@ -3,10 +3,12 @@
 // between jobs, and roughly agree with simulated co-runs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "src/eval/pipeline.h"
 #include "src/predictor/co_schedule.h"
+#include "src/util/rng.h"
 #include "src/workloads/workloads.h"
 
 namespace pandia {
@@ -134,6 +136,92 @@ TEST(CoSchedule, CombinedResourceLoadIsSumOfJobs) {
   EXPECT_NEAR(joint.resource_load[index.Dram(0)], joint.resource_load[index.Dram(1)],
               1e-9);
   EXPECT_GT(joint.resource_load[index.Dram(0)], 0.0);
+}
+
+// SpeedupCeiling is admissible: no joint solve reports a speedup above it —
+// on all four paper machines, with jobs sharing SMT cores and spanning
+// sockets, and whether or not the solve converged. The rack's
+// bound-and-prune search is exact only because of this.
+TEST(CoSchedule, SpeedupNeverExceedsItsCeiling) {
+  const std::vector<std::string> suite = {"EP", "CG", "MD", "Swim", "BT", "Bwaves"};
+  Rng rng(2017);
+  int checked = 0;
+  int non_converged = 0;
+  int shared_cores = 0;
+  int multi_socket = 0;
+  for (const char* type : {"x5-2", "x4-2", "x3-2", "x2-4"}) {
+    const eval::Pipeline pipeline(type);
+    const MachineTopology& topo = pipeline.machine().topology();
+    std::vector<WorkloadDescription> descriptions;
+    for (const std::string& name : suite) {
+      descriptions.push_back(pipeline.Profile(workloads::ByName(name)));
+    }
+    for (const int max_iterations : {2, 3, 1000}) {
+      PredictionOptions options;
+      options.max_iterations = max_iterations;
+      const CoSchedulePredictor engine(pipeline.description(), options);
+      for (int trial = 0; trial < 40; ++trial) {
+        // 1-4 jobs of 1-16 threads on random cores; a core's SMT slots may
+        // go to different jobs.
+        std::vector<uint8_t> free(static_cast<size_t>(topo.NumCores()),
+                                  static_cast<uint8_t>(topo.threads_per_core));
+        std::vector<int> owners(static_cast<size_t>(topo.NumCores()), 0);
+        std::vector<CoScheduleRequest> requests;
+        const int jobs = 1 + static_cast<int>(rng.NextBounded(4));
+        for (int j = 0; j < jobs; ++j) {
+          std::vector<uint8_t> per_core(static_cast<size_t>(topo.NumCores()), 0);
+          int threads = 1 + static_cast<int>(rng.NextBounded(16));
+          for (int attempt = 0; attempt < 200 && threads > 0; ++attempt) {
+            const size_t core = rng.NextBounded(per_core.size());
+            if (free[core] > 0) {
+              owners[core] += per_core[core] == 0 ? 1 : 0;
+              ++per_core[core];
+              --free[core];
+              --threads;
+            }
+          }
+          Placement placement(topo, std::move(per_core));
+          if (placement.TotalThreads() == 0) {
+            break;
+          }
+          multi_socket += placement.NumActiveSockets() > 1 ? 1 : 0;
+          requests.push_back(CoScheduleRequest{
+              &descriptions[rng.NextBounded(descriptions.size())], std::move(placement)});
+        }
+        for (const int owner_count : owners) {
+          shared_cores += owner_count > 1 ? 1 : 0;
+        }
+        const CoSchedulePrediction joint = engine.Predict(requests);
+        for (size_t j = 0; j < requests.size(); ++j) {
+          const double ceiling = engine.SpeedupCeiling(
+              *requests[j].workload, requests[j].placement.TotalThreads());
+          EXPECT_LE(joint.jobs[j].speedup, ceiling)
+              << type << " max_iterations=" << max_iterations << " trial " << trial
+              << " job " << j;
+          non_converged += joint.jobs[j].converged ? 0 : 1;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
+  EXPECT_GT(non_converged, 0);
+  EXPECT_GT(shared_cores, 0);
+  EXPECT_GT(multi_socket, 0);
+
+  // A solve that stops after one iteration runs no §5.4 clamp: no ceiling.
+  const WorkloadDescription& desc = Desc("CG");
+  const double inf = std::numeric_limits<double>::infinity();
+  PredictionOptions one_pass;
+  one_pass.iterate = false;
+  EXPECT_EQ(CoSchedulePredictor(X3().description(), one_pass).SpeedupCeiling(desc, 8),
+            inf);
+  PredictionOptions one_iteration;
+  one_iteration.max_iterations = 1;
+  EXPECT_EQ(
+      CoSchedulePredictor(X3().description(), one_iteration).SpeedupCeiling(desc, 8),
+      inf);
+  EXPECT_LT(CoSchedulePredictor(X3().description()).SpeedupCeiling(desc, 8), 8.0);
 }
 
 TEST(CoScheduleDeath, RejectsEmptyRequests) {

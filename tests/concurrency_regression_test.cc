@@ -33,6 +33,7 @@
 #include "src/util/parallel.h"
 #include "src/util/strings.h"
 #include "src/workloads/workloads.h"
+#include "tests/rack_search_script.h"
 
 namespace pandia {
 namespace {
@@ -306,6 +307,26 @@ TEST(ConcurrencyRegression, ServiceSurvivesConcurrentSocketClients) {
   ASSERT_TRUE(bye.ok()) << bye.status().ToString();
   loop.join();
   EXPECT_TRUE(service->shutdown_requested());
+}
+
+// Admission probes fan out over ParallelFor workers, one machine each, and
+// each worker runs the bound-and-prune candidate search against shared
+// rack state, the prediction cache and the probe counters. The fan-out must
+// not change a byte: the rack search script answers identically with four
+// probe workers and with one.
+TEST(ConcurrencyRegression, PrunedAdmitProbesMatchSerial) {
+  const auto run = [](int jobs) {
+    serve::ServiceOptions options;
+    options.prediction.common.jobs = jobs;
+    StatusOr<serve::PlacementService> service = serve::PlacementService::Create(
+        serve::rack_search_script::Machines(), options);
+    EXPECT_TRUE(service.ok()) << service.status().ToString();
+    return service.ok() ? serve::rack_search_script::RunRackSearchScript(*service)
+                        : std::string();
+  };
+  const std::string parallel = run(4);
+  EXPECT_EQ(parallel, run(1));
+  EXPECT_NE(parallel.find("\nmoved = "), std::string::npos);
 }
 
 // Concurrent pipelined clients against the multi-client event loop: each

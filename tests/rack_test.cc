@@ -1,8 +1,16 @@
 // Tests for the rack-scale scheduler (§8 future-work extension).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
+
 #include "src/eval/pipeline.h"
+#include "src/obs/metrics.h"
 #include "src/rack/rack.h"
+#include "src/util/rng.h"
+#include "src/util/strings.h"
 #include "src/workloads/workloads.h"
 
 namespace pandia {
@@ -370,6 +378,240 @@ TEST(RackScheduler, ResetClearsResidents) {
   EXPECT_FALSE(scheduler.ResidentsOf(0).empty());
   scheduler.Reset();
   EXPECT_TRUE(scheduler.ResidentsOf(0).empty());
+}
+
+// --- bound-and-prune search exactness ---
+
+const eval::Pipeline& PipelineFor(const std::string& type) {
+  static std::map<std::string, const eval::Pipeline*>* pipelines =
+      new std::map<std::string, const eval::Pipeline*>();
+  auto it = pipelines->find(type);
+  if (it == pipelines->end()) {
+    it = pipelines->emplace(type, new eval::Pipeline(type)).first;
+  }
+  return *it->second;
+}
+
+const WorkloadDescription& Profiled(const std::string& type,
+                                    const std::string& workload) {
+  static std::map<std::string, WorkloadDescription>* descriptions =
+      new std::map<std::string, WorkloadDescription>();
+  const std::string key = type + "/" + workload;
+  auto it = descriptions->find(key);
+  if (it == descriptions->end()) {
+    it = descriptions
+             ->emplace(key, PipelineFor(type).Profile(workloads::ByName(workload)))
+             .first;
+  }
+  return it->second;
+}
+
+// The exhaustive scan the pruned search replaced, kept as its oracle: every
+// enumerated candidate solved in enumeration order against the residents,
+// the first strictly greater objective winning.
+std::optional<Rack::Candidate> ExhaustiveBestCandidateOn(const Rack& rack,
+                                                         int machine_index,
+                                                         const JobRequest& job,
+                                                         Policy policy,
+                                                         const std::string* exclude_job) {
+  const MachineDescription& machine = rack.machines()[machine_index].description;
+  const auto desc = job.descriptions.find(machine.topo.name);
+  if (desc == job.descriptions.end()) {
+    return std::nullopt;
+  }
+  const CoSchedulePredictor engine(machine, rack.options());
+  std::vector<CoScheduleRequest> requests;
+  for (const RackJob& resident : rack.JobsOn(machine_index)) {
+    if (exclude_job == nullptr || resident.name != *exclude_job) {
+      requests.push_back(CoScheduleRequest{&resident.description, resident.placement});
+    }
+  }
+  double before_total = 0.0;
+  if (!requests.empty()) {
+    for (const Prediction& prediction : engine.Predict(requests).jobs) {
+      before_total += prediction.speedup;
+    }
+  }
+  requests.push_back(CoScheduleRequest{
+      &desc->second,
+      Placement(machine.topo,
+                std::vector<uint8_t>(static_cast<size_t>(machine.topo.NumCores()), 0))});
+  std::optional<Rack::Candidate> best;
+  for (const Placement& placement :
+       rack.CandidatePlacements(machine_index, job.requested_threads, exclude_job)) {
+    requests.back().placement = placement;
+    const CoSchedulePrediction joint = engine.Predict(requests);
+    Rack::Candidate candidate{placement, joint.jobs.back().speedup, 0.0};
+    for (const Prediction& prediction : joint.jobs) {
+      candidate.total_speedup += prediction.speedup;
+    }
+    candidate.total_speedup -= before_total;
+    const bool better =
+        !best.has_value() ||
+        (policy == Policy::kLeastInterference
+             ? candidate.total_speedup > best->total_speedup
+             : candidate.job_speedup > best->job_speedup);
+    if (better) {
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+// Up to `threads` threads on random free hardware threads, either within
+// one random socket or anywhere on the machine.
+Placement RandomFeasiblePlacement(const MachineTopology& topo,
+                                  const std::vector<uint8_t>& free, int threads,
+                                  Rng& rng) {
+  std::vector<uint8_t> per_core(static_cast<size_t>(topo.NumCores()), 0);
+  const bool one_socket = rng.NextBounded(2) == 0;
+  const int first = one_socket ? topo.FirstCoreOfSocket(static_cast<int>(
+                                     rng.NextBounded(topo.num_sockets)))
+                               : 0;
+  const int span = one_socket ? topo.cores_per_socket : topo.NumCores();
+  for (int attempt = 0; attempt < 8 * span && threads > 0; ++attempt) {
+    const int core = first + static_cast<int>(rng.NextBounded(span));
+    if (per_core[core] < free[core]) {
+      ++per_core[core];
+      --threads;
+    }
+  }
+  return Placement(topo, std::move(per_core));
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// The pruned search is the exhaustive scan, byte for byte: on random racks
+// of mixed machine types with 0-10 residents at random feasible placements,
+// for 1-16-thread requests under every policy, with and without a resident
+// excluded and a must_beat threshold, it picks the same placement with the
+// same speedup bits — or, when the scan's best does not beat must_beat, at
+// most something the caller rejects too.
+TEST(RackSearch, PrunedSearchMatchesTheExhaustiveScanOnRandomRacks) {
+  const std::vector<std::string> types = {"x5-2", "x4-2", "x3-2", "x2-4"};
+  const std::vector<std::string> suite = {"EP", "CG",     "MD",    "Swim",
+                                          "BT", "Bwaves", "NPO-1T"};
+  const std::vector<Policy> policies = {Policy::kBestSpeedup,
+                                        Policy::kLeastInterference,
+                                        Policy::kFirstFit};
+  const obs::Counter& candidates =
+      obs::MetricsRegistry::Global().counter("rack.probe.candidates");
+  const obs::Counter& solves =
+      obs::MetricsRegistry::Global().counter("rack.probe.solves");
+  const uint64_t candidates_before = candidates.value();
+  const uint64_t solves_before = solves.value();
+  Rng rng(15);
+  int exact = 0;
+  int rejected = 0;
+  int at_ceiling = 0;
+  int excluded = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    PredictionOptions options;
+    if (trial % 6 == 4) {
+      options.max_iterations = 3;  // non-converged solves still clamp
+    } else if (trial % 6 == 5) {
+      options.iterate = false;  // no clamp: every ceiling is +infinity
+    }
+    const int machine_count = 1 + static_cast<int>(rng.NextBounded(3));
+    std::vector<RackMachine> machines;
+    for (int m = 0; m < machine_count; ++m) {
+      machines.push_back({StrFormat("node%d", m),
+                          PipelineFor(types[rng.NextBounded(types.size())]).description()});
+    }
+    Rack rack(std::move(machines), options);
+    const int residents = static_cast<int>(rng.NextBounded(11));
+    for (int r = 0; r < residents; ++r) {
+      const int m = static_cast<int>(rng.NextBounded(machine_count));
+      const MachineTopology& topo = rack.machines()[m].description.topo;
+      const Placement placement = RandomFeasiblePlacement(
+          topo, rack.FreeThreads(m), 1 + static_cast<int>(rng.NextBounded(8)), rng);
+      if (placement.TotalThreads() == 0) {
+        continue;  // machine full
+      }
+      ASSERT_TRUE(rack.AdmitAt(StrFormat("r%d", r), m,
+                               Profiled(topo.name, suite[rng.NextBounded(suite.size())]),
+                               placement)
+                      .ok());
+    }
+
+    for (int query = 0; query < 3; ++query) {
+      const int m = static_cast<int>(rng.NextBounded(machine_count));
+      const MachineDescription& machine = rack.machines()[m].description;
+      JobRequest job;
+      job.name = "probe";
+      job.requested_threads = 1 + static_cast<int>(rng.NextBounded(16));
+      const std::string& workload = suite[rng.NextBounded(suite.size())];
+      for (const std::string& type : types) {
+        job.descriptions.emplace(type, Profiled(type, workload));
+      }
+      const Policy policy = policies[(trial * 3 + query) % policies.size()];
+      std::string exclude_name;
+      const std::string* exclude = nullptr;
+      const std::vector<RackJob>& on_machine = rack.JobsOn(m);
+      if (!on_machine.empty() && rng.NextBounded(2) == 0) {
+        exclude_name = on_machine[rng.NextBounded(on_machine.size())].name;
+        exclude = &exclude_name;
+        ++excluded;
+      }
+      const std::optional<Rack::Candidate> reference =
+          ExhaustiveBestCandidateOn(rack, m, job, policy, exclude);
+
+      // No threshold, the scan's own best (a tie the caller rejects), the
+      // largest double below it, or a random bar around it.
+      double must_beat = -std::numeric_limits<double>::infinity();
+      if (reference.has_value()) {
+        switch (rng.NextBounded(4)) {
+          case 1:
+            must_beat = reference->job_speedup;
+            break;
+          case 2:
+            must_beat = std::nextafter(reference->job_speedup, 0.0);
+            break;
+          case 3:
+            must_beat = 2.0 * rng.NextDouble() * reference->job_speedup;
+            break;
+          default:
+            break;
+        }
+      }
+      const std::optional<Rack::Candidate> pruned =
+          rack.BestCandidateOn(m, job, policy, exclude, must_beat);
+      SCOPED_TRACE(StrFormat("trial %d query %d: %s %s x%d, policy %s, must_beat %.17g",
+                             trial, query, machine.topo.name.c_str(), workload.c_str(),
+                             job.requested_threads, PolicyName(policy).c_str(),
+                             must_beat));
+      if (!reference.has_value()) {
+        EXPECT_FALSE(pruned.has_value());
+        continue;
+      }
+      if (!(reference->job_speedup > must_beat)) {
+        ++rejected;
+        if (pruned.has_value()) {
+          EXPECT_LE(pruned->job_speedup, must_beat);
+        }
+        continue;
+      }
+      ASSERT_TRUE(pruned.has_value());
+      EXPECT_EQ(pruned->placement.PerCore(), reference->placement.PerCore());
+      EXPECT_EQ(Bits(pruned->job_speedup), Bits(reference->job_speedup));
+      if (policy == Policy::kLeastInterference) {
+        EXPECT_EQ(Bits(pruned->total_speedup), Bits(reference->total_speedup));
+      }
+      const double ceiling = CoSchedulePredictor(machine, options)
+                                 .SpeedupCeiling(job.descriptions.at(machine.topo.name),
+                                                 reference->placement.TotalThreads());
+      at_ceiling += reference->job_speedup == ceiling ? 1 : 0;
+      ++exact;
+    }
+  }
+  // The sample reaches every branch: exact answers (some at their ceiling,
+  // where the tie rule decides), rejected thresholds, excluded residents,
+  // and candidates that were never solved.
+  EXPECT_GE(exact, 300);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(at_ceiling, 0);
+  EXPECT_GT(excluded, 0);
+  EXPECT_LT(solves.value() - solves_before, candidates.value() - candidates_before);
 }
 
 }  // namespace

@@ -19,12 +19,14 @@
 #include <vector>
 
 #include "src/eval/pipeline.h"
+#include "src/obs/metrics.h"
 #include "src/serialize/serialize.h"
 #include "src/serve/client.h"
 #include "src/serve/socket.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 #include "src/workloads/workloads.h"
+#include "tests/rack_search_script.h"
 
 namespace pandia {
 namespace serve {
@@ -155,6 +157,52 @@ TEST(PlacementService, DepartReplacesDegradedNeighbours) {
     ASSERT_TRUE(text.ok());
     EXPECT_NE(text->find("MOVED name=hog-b"), std::string::npos) << *text;
   }
+}
+
+// The rack search's decisions, pinned byte for byte: the scripted session
+// (tests/rack_search_script.h) must answer exactly as the committed golden
+// transcript. On a mismatch the actual transcript is written to the test
+// temp directory for diffing.
+TEST(PlacementService, RackSearchMatchesGoldenTranscript) {
+  PlacementService service =
+      MustCreate(rack_search_script::Machines(), ServiceOptions{});
+  const std::string transcript = rack_search_script::RunRackSearchScript(service);
+  // The script reaches every search path it is meant to pin.
+  EXPECT_NE(transcript.find("policy=least-interference"), std::string::npos);
+  EXPECT_NE(transcript.find("\nmoved = "), std::string::npos);
+  EXPECT_NE(transcript.find("\nmigrations = "), std::string::npos);
+
+  const StatusOr<std::string> golden =
+      ReadTextFile(PANDIA_TEST_DATA_DIR "/golden/rack_search.txt");
+  if (!golden.ok() || *golden != transcript) {
+    const std::string actual = ::testing::TempDir() + "/rack_search.actual.txt";
+    ASSERT_TRUE(WriteTextFile(actual, transcript).ok());
+    ADD_FAILURE() << "transcript differs from tests/data/golden/rack_search.txt ("
+                  << golden.status().ToString() << "); actual written to " << actual;
+  }
+}
+
+// A DEPART with a margin no re-placement can clear costs one joint solve:
+// the departed machine's post-departure prediction, which every neighbour's
+// current speedup then reads from the prediction cache. Each neighbour's
+// best re-placement reaches at most its Amdahl speedup, far below eleven
+// times its current one, so no candidate placement is solved.
+TEST(PlacementService, DepartBeyondTheMarginSolvesOnlyTheMachine) {
+  std::vector<rack::RackMachine> machines{{"node0", X3().description()}};
+  ServiceOptions options;
+  options.replace_margin = 10.0;
+  PlacementService service = MustCreate(std::move(machines), options);
+  for (const char* workload : {"EP", "MD", "CG", "Swim"}) {
+    ASSERT_TRUE(IsOkBlock(service.HandleLine(AdmitLine(workload, workload, 4))));
+  }
+  const obs::Counter& predictions =
+      obs::MetricsRegistry::Global().counter("predictor.predictions");
+  const uint64_t before = predictions.value();
+  const std::string departed = service.HandleLine("DEPART name=MD");
+  ASSERT_TRUE(IsOkBlock(departed)) << departed;
+  EXPECT_EQ(departed.find("moved = "), std::string::npos) << departed;
+  ASSERT_EQ(service.rack().JobsOn(0).size(), 3u);
+  EXPECT_EQ(predictions.value() - before, 1u);
 }
 
 TEST(SocketTransport, ServesClientsAndShutsDown) {

@@ -27,8 +27,10 @@
 //   --compact-min-records=N  automatic-compaction floor: never snapshot
 //                        before N records accumulated past the last one
 //   --replace-margin=X   relative speedup margin before DEPART/REBALANCE
-//                        re-places a neighbour (default 0.02; raise it to
-//                        make departures cheaper under heavy load)
+//                        re-places a neighbour (default 0.02). The searches
+//                        skip every candidate placement whose speedup
+//                        ceiling (its Amdahl speedup) cannot clear the
+//                        margin, so a larger margin also means fewer solves
 //   --shards=N           fleet mode: shard the machines across N placement
 //                        shards, each with its own journal
 //                        (<journal>.shard<k>) and telemetry (default 1:

@@ -5,7 +5,8 @@
 // Polls the daemon over its Unix-domain socket with `METRICS format=expo`
 // and `TELEMETRY`, then renders request latency percentiles (p50/p90/p99
 // per verb, interpolated client-side from the exported histogram buckets),
-// verb rates (counter deltas between polls), journal health (append and
+// verb rates (counter deltas between polls), rack search pruning (candidate
+// placements per second and the share solved), journal health (append and
 // fsync p99, compactions, bytes reclaimed, live ratio, torn tails, and a
 // DEGRADED banner when the daemon is serving read-only), and the per-job
 // rack telemetry (predicted slowdown at admit, current prediction,
@@ -158,6 +159,22 @@ void Render(const PollResult& poll, const ExpoSnapshot* previous,
     }
     std::printf("%-10s %10.0f %8.0f %9.1f %10.1f %10.1f %10.1f\n", verb,
                 requests, errors, rate, p50, p90, p99);
+  }
+  // Rack search pruning: candidate placements enumerated per second and
+  // the share of them actually solved, over the poll interval (since
+  // startup on the first frame).
+  const double candidates = SampleOr(poll.expo, "rack.probe.candidates", 0.0);
+  if (candidates > 0.0) {
+    double enumerated = candidates;
+    double solved = SampleOr(poll.expo, "rack.probe.solves", 0.0);
+    double rate = 0.0;
+    if (previous != nullptr && interval_s > 0.0) {
+      enumerated -= SampleOr(*previous, "rack.probe.candidates", 0.0);
+      solved -= SampleOr(*previous, "rack.probe.solves", 0.0);
+      rate = enumerated / interval_s;
+    }
+    std::printf("\nprobe: candidates=%.0f rate=%.1f/s solved=%.1f%%\n", candidates,
+                rate, enumerated > 0.0 ? 100.0 * solved / enumerated : 0.0);
   }
   const double appends =
       SampleOr(poll.expo, "serve.journal.append_latency_us.count", 0.0);
