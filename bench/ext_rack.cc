@@ -17,17 +17,17 @@ using namespace pandia;
 // co-residents running in the background. Jobs on one machine occupy
 // disjoint cores, so placements identify residents.
 double MeasureAssignment(const std::map<std::string, const eval::Pipeline*>& pipelines,
-                         const rack::RackScheduler& scheduler,
+                         const rack::Rack& rack,
                          const rack::Assignment& assignment,
                          const std::string& workload_name,
                          const rack::JobRequest& job) {
-  const rack::RackMachine& machine = scheduler.machines()[assignment.machine_index];
+  const rack::RackMachine& machine = rack.machines()[assignment.machine_index];
   const std::string& type = machine.description.topo.name;
   const eval::Pipeline& pipeline = *pipelines.at(type);
   const sim::WorkloadSpec spec = workloads::ByName(workload_name);
   std::vector<sim::WorkloadSpec> co_specs;
   std::vector<sim::JobRequest> jobs{{&spec, *assignment.placement, false}};
-  const auto& residents = scheduler.ResidentsOf(assignment.machine_index);
+  const auto& residents = rack.JobsOn(assignment.machine_index);
   co_specs.reserve(residents.size());
   for (const auto& resident : residents) {
     if (resident.placement == *assignment.placement) {
@@ -78,10 +78,10 @@ int main() {
   for (const rack::Policy policy :
        {rack::Policy::kFirstFit, rack::Policy::kBestSpeedup,
         rack::Policy::kLeastInterference}) {
-    rack::RackScheduler scheduler({{"node0", x3.description()},
-                                   {"node1", x3.description()},
-                                   {"node2", x5.description()}});
-    const std::vector<rack::Assignment> assignments = scheduler.Schedule(jobs, policy);
+    rack::Rack rack({{"node0", x3.description()},
+                     {"node1", x3.description()},
+                     {"node2", x5.description()}});
+    const std::vector<rack::Assignment> assignments = rack.Schedule(jobs, policy);
     int placed = 0;
     double predicted = 0.0;
     double measured = 0.0;
@@ -92,7 +92,7 @@ int main() {
       ++placed;
       predicted += assignments[i].predicted_speedup;
       measured +=
-          MeasureAssignment(pipelines, scheduler, assignments[i], jobs[i].name, jobs[i]);
+          MeasureAssignment(pipelines, rack, assignments[i], jobs[i].name, jobs[i]);
     }
     table.AddRow({rack::PolicyName(policy), StrFormat("%d/%zu", placed, jobs.size()),
                   StrFormat("%.1f", predicted), StrFormat("%.1f", measured)});

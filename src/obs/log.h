@@ -10,7 +10,7 @@
 //     Debug event under the default Info threshold is effectively free
 //     (same discipline as obs::Tracer's disabled spans).
 //   - Per-site rate limiting: each site (a stable string literal naming the
-//     call site, e.g. "serve.rollback") may emit at most `burst` events per
+//     call site, e.g. "serve.journal") may emit at most `burst` events per
 //     `window`; further events in the window are dropped and accounted, and
 //     the first event of the next window reports `suppressed=N`. A hot
 //     error path can therefore log unconditionally without flooding.

@@ -56,16 +56,6 @@ obs::Gauge& SizeGauge() {
       obs::MetricsRegistry::Global().gauge("prediction_cache.size");
   return gauge;
 }
-obs::Counter& GenerationInvalidationsCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().counter(
-      "prediction_cache.generation_invalidations");
-  return counter;
-}
-obs::Gauge& GenerationGauge() {
-  static obs::Gauge& gauge =
-      obs::MetricsRegistry::Global().gauge("prediction_cache.generation");
-  return gauge;
-}
 
 }  // namespace
 
@@ -170,28 +160,14 @@ PredictionCache::Shard& PredictionCache::ShardFor(const PredictionCacheKey& key)
 }
 
 std::optional<Prediction> PredictionCache::Lookup(const PredictionCacheKey& key) {
-  const uint64_t current = generation_.load(std::memory_order_acquire);
-  bool stale = false;
   {
     Shard& shard = ShardFor(key);
     util::MutexLock lock(shard.mu);
-    auto it = shard.entries.find(key);
+    const auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
-      if (it->second.generation == current) {
-        HitsCounter().Increment();
-        return it->second.prediction;
-      }
-      // Inserted before the last BumpGeneration: the value may describe a
-      // co-scheduling context that no longer exists. Reclaim it here; its
-      // FIFO slot stays behind and erases nothing when it is evicted.
-      shard.entries.erase(it);
-      stale = true;
+      HitsCounter().Increment();
+      return it->second;
     }
-  }
-  if (stale) {
-    GenerationInvalidationsCounter().Increment();
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    SizeGauge().Set(static_cast<double>(size()));
   }
   MissesCounter().Increment();
   return std::nullopt;
@@ -206,11 +182,8 @@ void PredictionCache::Insert(const PredictionCacheKey& key,
     util::MutexLock lock(shard.mu);
     // First writer wins; racing inserts of the same key computed the same
     // value, so dropping the duplicate is free.
-    auto [it, fresh] = shard.entries.emplace(
-        key, Entry{prediction, generation_.load(std::memory_order_acquire)});
-    (void)it;
-    inserted = fresh;
-    if (fresh) {
+    inserted = shard.entries.emplace(key, prediction).second;
+    if (inserted) {
       shard.fifo.push_back(key);
       while (shard.fifo.size() > per_shard_capacity_) {
         evicted += shard.entries.erase(shard.fifo.front());
@@ -227,15 +200,6 @@ void PredictionCache::Insert(const PredictionCacheKey& key,
     size_.fetch_sub(evicted, std::memory_order_relaxed);
   }
   SizeGauge().Set(static_cast<double>(size()));
-}
-
-void PredictionCache::BumpGeneration() {
-  const uint64_t next = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  GenerationGauge().Set(static_cast<double>(next));
-}
-
-uint64_t PredictionCache::generation() const {
-  return generation_.load(std::memory_order_acquire);
 }
 
 size_t PredictionCache::size() const {

@@ -18,19 +18,15 @@
 // which copy wins is unobservable). When a shard exceeds its capacity the
 // oldest entry in that shard is evicted.
 //
-// Invalidation: long-running holders of mutable co-scheduling state (the
-// placement service) key joint predictions by fingerprints of the full
-// resident set, but a caller that keys by a job's own context alone would
-// read stale values once a neighbour departs. Every entry is therefore
-// tagged with the cache generation current at insert time; BumpGeneration()
-// logically invalidates everything inserted before it (stale entries are
-// dropped lazily on lookup), giving mutation events a hard invalidation
-// hook regardless of how callers fingerprint their contexts.
+// Staleness: the key alone decides it. Every caller keys a value by all of
+// its inputs — PredictCached a solo prediction by machine, workload and
+// options; rack::Rack a joint prediction by a machine's full resident set —
+// so a change to any input is a new key, and an entry that no longer
+// describes live state is never looked up again and ages out in FIFO order.
 //
 // Observability (src/obs registry):
 //   prediction_cache.hits / .misses / .insertions / .evictions  counters
-//   prediction_cache.generation_invalidations                   counter
-//   prediction_cache.size / .generation                         gauges
+//   prediction_cache.size                                       gauge
 #ifndef PANDIA_SRC_PREDICTOR_PREDICTION_CACHE_H_
 #define PANDIA_SRC_PREDICTOR_PREDICTION_CACHE_H_
 
@@ -89,18 +85,9 @@ class PredictionCache {
   // Process-wide cache used by the optimizer and the eval sweeps.
   static PredictionCache& Global();
 
-  // Lookup drops (and counts) entries inserted before the current
-  // generation instead of returning them.
   std::optional<Prediction> Lookup(const PredictionCacheKey& key);
   void Insert(const PredictionCacheKey& key, const Prediction& prediction);
 
-  // Invalidation hook for online state mutations (job departures, rack
-  // reconfiguration): logically drops every current entry. O(1); stale
-  // entries are reclaimed lazily on lookup or eviction.
-  void BumpGeneration();
-  uint64_t generation() const;
-
-  // Entry count including not-yet-reclaimed stale entries.
   size_t size() const;
   void Clear();
 
@@ -109,14 +96,10 @@ class PredictionCache {
   struct KeyHash {
     size_t operator()(const PredictionCacheKey& key) const;
   };
-  struct Entry {
-    Prediction prediction;
-    uint64_t generation = 0;
-  };
   struct Shard {
     mutable util::Mutex mu{"predictor.cache_shard",
                            util::kLockRankPredictorCacheShard};
-    std::unordered_map<PredictionCacheKey, Entry, KeyHash> entries
+    std::unordered_map<PredictionCacheKey, Prediction, KeyHash> entries
         PANDIA_GUARDED_BY(mu);
     // Insertion order, for eviction.
     std::deque<PredictionCacheKey> fifo PANDIA_GUARDED_BY(mu);
@@ -127,7 +110,6 @@ class PredictionCache {
   size_t per_shard_capacity_;
   Shard shards_[kShards];
   std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> generation_{0};
 };
 
 // Predict with memoization: returns the cached Prediction for (predictor

@@ -135,52 +135,6 @@ StatusOr<Policy> PolicyFromName(const std::string& name) {
       name.c_str()));
 }
 
-std::optional<Placement> PlaceLoadsOnFreeCores(const MachineTopology& topo,
-                                               std::span<const SocketLoad> loads,
-                                               const std::vector<uint8_t>& free) {
-  PANDIA_CHECK(static_cast<int>(loads.size()) == topo.num_sockets);
-  PANDIA_CHECK(static_cast<int>(free.size()) == topo.NumCores());
-  std::vector<uint8_t> per_core(static_cast<size_t>(topo.NumCores()), 0);
-  for (int s = 0; s < topo.num_sockets; ++s) {
-    int doubles = loads[s].doubles;
-    int singles = loads[s].singles;
-    const int first = topo.FirstCoreOfSocket(s);
-    // Doubles need fully free cores.
-    for (int i = 0; i < topo.cores_per_socket && doubles > 0; ++i) {
-      const int core = first + i;
-      if (free[core] >= 2 && per_core[core] == 0) {
-        per_core[core] = 2;
-        --doubles;
-      }
-    }
-    if (doubles > 0) {
-      return std::nullopt;
-    }
-    // Singles prefer half-occupied cores, then untouched free cores.
-    for (int pass = 0; pass < 2 && singles > 0; ++pass) {
-      for (int i = 0; i < topo.cores_per_socket && singles > 0; ++i) {
-        const int core = first + i;
-        if (per_core[core] != 0) {
-          continue;
-        }
-        const bool half = free[core] == 1;
-        if ((pass == 0 && half) || (pass == 1 && free[core] >= 1)) {
-          per_core[core] = 1;
-          --singles;
-        }
-      }
-    }
-    if (singles > 0) {
-      return std::nullopt;
-    }
-  }
-  int total = std::accumulate(per_core.begin(), per_core.end(), 0);
-  if (total == 0) {
-    return std::nullopt;
-  }
-  return Placement(topo, std::move(per_core));
-}
-
 Rack::Rack(std::vector<RackMachine> machines, PredictionOptions options)
     : machines_(std::move(machines)), options_(options) {
   PANDIA_CHECK(!machines_.empty());
@@ -456,7 +410,7 @@ std::optional<Rack::Candidate> Rack::BestCandidateOn(int machine_index,
   return best;
 }
 
-StatusOr<Assignment> Rack::Admit(const JobRequest& job, Policy policy) {
+StatusOr<Assignment> Rack::Choose(const JobRequest& job, Policy policy) const {
   if (job.name.empty()) {
     return Status::InvalidArgument("job name must be non-empty");
   }
@@ -530,23 +484,38 @@ StatusOr<Assignment> Rack::Admit(const JobRequest& job, Policy policy) {
         StrFormat("no machine can place job '%s' (requested %d threads)",
                   job.name.c_str(), job.requested_threads));
   }
+  return Assignment{job.name, chosen_machine, std::move(chosen->placement),
+                    chosen->job_speedup};
+}
 
-  const MachineTopology& topo = machines_[chosen_machine].description.topo;
-  const WorkloadDescription& description = job.descriptions.at(topo.name);
-  RackJob resident{job.name, description, chosen->placement,
-                   WorkloadFingerprint(description)};
-  resident.speedup_at_admit = chosen->job_speedup;
-  resident.admit_seq = ++mutation_seq_;
-  resident.machine_events_at_placement = ++machine_events_[chosen_machine];
-  residents_[chosen_machine].push_back(std::move(resident));
-  AdmissionsCounter().Increment();
+StatusOr<Assignment> Rack::Admit(const JobRequest& job, Policy policy) {
+  StatusOr<Assignment> chosen = Choose(job, policy);
+  if (!chosen.ok()) {
+    return chosen;
+  }
+  const int machine = chosen->machine_index;
+  const std::string& type = machines_[machine].description.topo.name;
+  PANDIA_RETURN_IF_ERROR(AdmitAt(job.name, machine, job.descriptions.at(type),
+                                 *chosen->placement, chosen->predicted_speedup));
+  return chosen;
+}
 
-  Assignment assignment;
-  assignment.job = job.name;
-  assignment.machine_index = chosen_machine;
-  assignment.placement = chosen->placement;
-  assignment.predicted_speedup = chosen->job_speedup;
-  return assignment;
+std::vector<Assignment> Rack::Schedule(std::span<const JobRequest> jobs, Policy policy) {
+  std::vector<Assignment> assignments;
+  assignments.reserve(jobs.size());
+  for (const JobRequest& job : jobs) {
+    // Batch streams may repeat names (several instances of one workload);
+    // resident names must be unique, so uniquify internally.
+    JobRequest request = job;
+    for (int suffix = 2; Has(request.name); ++suffix) {
+      request.name = StrFormat("%s#%d", job.name.c_str(), suffix);
+    }
+    StatusOr<Assignment> admitted = Admit(request, policy);
+    Assignment assignment = admitted.ok() ? *std::move(admitted) : Assignment{};
+    assignment.job = job.name;
+    assignments.push_back(std::move(assignment));
+  }
+  return assignments;
 }
 
 Status Rack::ValidatePlacementFits(int machine_index, const Placement& placement,
@@ -575,7 +544,8 @@ Status Rack::ValidatePlacementFits(int machine_index, const Placement& placement
 
 Status Rack::AdmitAt(const std::string& name, int machine_index,
                      const WorkloadDescription& description,
-                     const Placement& placement) {
+                     const Placement& placement,
+                     std::optional<double> speedup_at_admit) {
   if (name.empty()) {
     return Status::InvalidArgument("job name must be non-empty");
   }
@@ -591,16 +561,16 @@ Status Rack::AdmitAt(const std::string& name, int machine_index,
   PANDIA_RETURN_IF_ERROR(description.Validate());
   PANDIA_RETURN_IF_ERROR(
       ValidatePlacementFits(machine_index, placement, FreeThreads(machine_index)));
-  RackJob resident{name, description, placement, WorkloadFingerprint(description)};
+  RackJob& resident = residents_[machine_index].emplace_back(
+      RackJob{name, description, placement, WorkloadFingerprint(description)});
   resident.admit_seq = ++mutation_seq_;
   resident.machine_events_at_placement = ++machine_events_[machine_index];
-  residents_[machine_index].push_back(std::move(resident));
-  // Replay runs the same joint solve Admit scored the chosen candidate
-  // with (residents in order, this job last), so the admit-time baseline
-  // survives a restart byte-for-byte.
-  const std::vector<Prediction> joint = PredictMachine(machine_index);
-  residents_[machine_index].back().speedup_at_admit =
-      joint.empty() ? 0.0 : joint.back().speedup;
+  // Without the decision's score (replay), run the same joint solve Choose
+  // scored the candidate with (residents in order, this job last), so the
+  // admit-time baseline survives a restart byte for byte.
+  resident.speedup_at_admit = speedup_at_admit.has_value()
+                                  ? *speedup_at_admit
+                                  : PredictMachine(machine_index).back().speedup;
   AdmissionsCounter().Increment();
   return Status::Ok();
 }
@@ -616,12 +586,6 @@ StatusOr<int> Rack::Depart(const std::string& job) {
   ++mutation_seq_;
   ++machine_events_[machine_index];
   DeparturesCounter().Increment();
-  // Hard invalidation: joint fingerprints already exclude the departed job
-  // from future contexts, but bumping the generation also drops any entry
-  // other callers keyed more loosely against the old co-location.
-  if (cache_ != nullptr) {
-    cache_->BumpGeneration();
-  }
   return machine_index;
 }
 
@@ -761,41 +725,7 @@ Status Rack::RestoreState(const SavedState& state) {
   residents_ = std::move(staged);
   mutation_seq_ = state.mutation_seq;
   machine_events_ = state.machine_events;
-  // The whole resident set may have changed shape; drop loosely-keyed cache
-  // entries the same way Depart does.
-  if (cache_ != nullptr) {
-    cache_->BumpGeneration();
-  }
   return Status::Ok();
-}
-
-RackScheduler::RackScheduler(std::vector<RackMachine> machines,
-                             PredictionOptions options)
-    : rack_(std::move(machines), options) {}
-
-std::vector<Assignment> RackScheduler::Schedule(std::span<const JobRequest> jobs,
-                                                Policy policy) {
-  std::vector<Assignment> assignments;
-  assignments.reserve(jobs.size());
-  for (const JobRequest& job : jobs) {
-    // Batch streams may repeat names (several instances of one workload);
-    // resident names must be unique, so uniquify internally.
-    JobRequest request = job;
-    int suffix = 2;
-    while (rack_.Has(request.name)) {
-      request.name = StrFormat("%s#%d", job.name.c_str(), suffix++);
-    }
-    StatusOr<Assignment> admitted = rack_.Admit(request, policy);
-    Assignment assignment;
-    assignment.job = job.name;
-    if (admitted.ok()) {
-      assignment.machine_index = admitted->machine_index;
-      assignment.placement = admitted->placement;
-      assignment.predicted_speedup = admitted->predicted_speedup;
-    }
-    assignments.push_back(std::move(assignment));
-  }
-  return assignments;
 }
 
 }  // namespace rack

@@ -9,14 +9,12 @@
 // hardware threads, using the co-scheduling predictor to account for the
 // jobs already running there.
 //
-// Two layers:
-//
-//   * `Rack` is the mutable online state: machines plus the named jobs
-//     resident on them, with Admit / Depart / Move mutations that never
-//     abort on bad input (StatusOr surface). This is what the long-running
-//     placement service (src/serve) holds and journals.
-//   * `RackScheduler` is the batch wrapper the offline experiments use:
-//     Schedule() admits a whole job stream in order.
+// `Rack` is the mutable online state: machines plus the named jobs resident
+// on them, with Admit / Depart / Move mutations that never abort on bad
+// input (StatusOr surface). Admission splits into a read-only decision
+// (Choose) and its application (AdmitAt), so the long-running placement
+// service (src/serve) can journal a decision before it applies it. The
+// offline experiments admit a whole job stream in order through Schedule().
 #ifndef PANDIA_SRC_RACK_RACK_H_
 #define PANDIA_SRC_RACK_RACK_H_
 
@@ -96,25 +94,17 @@ enum class Policy {
 std::string PolicyName(Policy policy);
 StatusOr<Policy> PolicyFromName(const std::string& name);
 
-// Builds a placement with the given per-socket loads using only free
-// hardware threads (free[c] in [0, threads_per_core]). Doubles take cores
-// with two free slots; singles prefer half-occupied cores. Returns nullopt
-// when the loads do not fit.
-std::optional<Placement> PlaceLoadsOnFreeCores(const MachineTopology& topo,
-                                               std::span<const SocketLoad> loads,
-                                               const std::vector<uint8_t>& free);
-
 // Mutable rack state with online admission. All mutations validate their
 // inputs and report recoverable failures as Status — a malformed request
 // must never take down a daemon holding live placement state.
 //
-// Thread safety: externally synchronized. A single mutation (Admit) fans
-// read-only probes out over ParallelFor worker threads internally, so an
-// internal per-object lock would be held across its own workers; instead
-// the owner serializes mutations and guards the object (the placement
-// service holds its Rack as PANDIA_GUARDED_BY(mu_)). Concurrent const
-// access without a mutation in flight is safe — shared caches the const
-// paths touch (PredictionCache, metrics) lock internally.
+// Thread safety: externally synchronized. One admission decision (Choose)
+// fans read-only probes out over ParallelFor worker threads internally, so
+// an internal per-object lock would be held across its own workers;
+// instead the owner serializes mutations and guards the object (the
+// placement service holds its Rack as PANDIA_GUARDED_BY(mu_)). Concurrent
+// const access without a mutation in flight is safe — shared caches the
+// const paths touch (PredictionCache, metrics) lock internally.
 class Rack {
  public:
   // `options.common.jobs` fans the per-machine admission probes out over
@@ -179,19 +169,31 @@ class Rack {
       const std::string* exclude_job = nullptr,
       double must_beat = -std::numeric_limits<double>::infinity()) const;
 
-  // Online admission: probes every machine (fanning out over
-  // options().common.jobs workers), applies the best candidate under
-  // `policy`, and returns the resulting assignment. Errors: invalid
-  // request, duplicate job name, no description for any machine type in
-  // the rack, or no machine with a feasible placement.
+  // Admission decision: probes every machine (fanning out over
+  // options().common.jobs workers) and returns the best candidate under
+  // `policy` without changing the rack. Errors: invalid request, duplicate
+  // job name, no description for any machine type in the rack, or no
+  // machine with a feasible placement.
+  [[nodiscard]] StatusOr<Assignment> Choose(const JobRequest& job, Policy policy) const;
+
+  // Choose, then AdmitAt the chosen machine and placement.
   [[nodiscard]] StatusOr<Assignment> Admit(const JobRequest& job, Policy policy);
 
-  // Applies a recorded admission decision without searching (journal
-  // replay): validates the description and that `placement` fits the
-  // machine's free threads, then places the job.
+  // Places a job without searching: validates the name, the description and
+  // that `placement` fits the machine's free threads, then places the job.
+  // `speedup_at_admit` is the joint speedup the decision already scored;
+  // without it (journal replay) one joint solve of the machine, this job
+  // last, reconstructs it.
   [[nodiscard]] Status AdmitAt(const std::string& name, int machine_index,
                                const WorkloadDescription& description,
-                               const Placement& placement);
+                               const Placement& placement,
+                               std::optional<double> speedup_at_admit = std::nullopt);
+
+  // Batch admission for the offline experiments: admits `jobs` in order and
+  // returns one assignment per request; a job that fits nowhere gets
+  // machine_index = -1. Repeated request names are uniquified internally
+  // (the returned Assignment keeps the request's name).
+  std::vector<Assignment> Schedule(std::span<const JobRequest> jobs, Policy policy);
 
   // Removes a job and returns the machine index it was resident on.
   [[nodiscard]] StatusOr<int> Depart(const std::string& job);
@@ -207,8 +209,7 @@ class Rack {
   // machine: empty vector). Results are memoized under a fingerprint of
   // the full resident set — machine, options, and every (workload,
   // placement) pair — so a stale hit cannot survive any membership or
-  // placement change; PredictionCache::BumpGeneration() additionally
-  // hard-invalidates after departures.
+  // placement change.
   std::vector<Prediction> PredictMachine(int machine_index) const;
 
   // Per-job telemetry snapshot: the admission-time baseline, the current
@@ -248,10 +249,8 @@ class Rack {
 
   // A full copy of the rack's mutable state: every resident (including its
   // telemetry baseline fields) plus the mutation counters Telemetry()
-  // reports. Two uses: the placement service's journal snapshots (compaction
-  // serializes a SavedState, restart restores it) and transactional rollback
-  // (capture before a mutation, restore if the journal append fails, so
-  // TELEMETRY is byte-identical to never having tried).
+  // reports. The placement service's journal snapshots use it: compaction
+  // serializes a SavedState, restart restores it.
   struct SavedJob {
     int machine_index = -1;
     RackJob job;
@@ -289,37 +288,10 @@ class Rack {
   // solver (each probe worker reuses its thread-local scratch arena).
   std::vector<CoSchedulePredictor> engines_;
   std::vector<std::vector<RackJob>> residents_;
-  // Telemetry bookkeeping: every successful Admit/AdmitAt/Depart/Move bumps
+  // Telemetry bookkeeping: every successful AdmitAt/Depart/Move bumps
   // mutation_seq_ and the touched machines' machine_events_ entries.
   uint64_t mutation_seq_ = 0;
   std::vector<uint64_t> machine_events_;
-};
-
-// Batch scheduling over a Rack: admits a job stream in order. Kept for the
-// offline experiments (bench/ext_rack) and as the simplest entry point.
-class RackScheduler {
- public:
-  explicit RackScheduler(std::vector<RackMachine> machines,
-                         PredictionOptions options = {});
-
-  // Assigns jobs online, in order. Jobs that fit nowhere get
-  // machine_index = -1. Duplicate request names are uniquified internally
-  // (the returned Assignment keeps the request's name).
-  std::vector<Assignment> Schedule(std::span<const JobRequest> jobs, Policy policy);
-
-  const std::vector<RackMachine>& machines() const { return rack_.machines(); }
-  const std::vector<RackJob>& ResidentsOf(int machine_index) const {
-    return rack_.JobsOn(machine_index);
-  }
-
-  Rack& rack() { return rack_; }
-  const Rack& rack() const { return rack_; }
-
-  // Clears all assignments.
-  void Reset() { rack_.Reset(); }
-
- private:
-  Rack rack_;
 };
 
 }  // namespace rack

@@ -425,48 +425,60 @@ wire::Response PlacementService::HandleAdmit(const wire::Request& request) {
         "ADMIT needs at least one desc.<machine-type> parameter"));
   }
 
-  // Full-state capture for rollback: a failed journal append must leave the
-  // rack — including mutation counters and telemetry baselines — exactly as
-  // if the admission had never been tried.
-  const rack::Rack::SavedState saved = rack_.SaveState();
-  StatusOr<rack::Assignment> admitted = rack_.Admit(job, policy);
-  if (!admitted.ok()) {
-    return wire::Response::Failure(admitted.status());
+  // Decide, journal, apply: the rack changes only once its record is
+  // durable, so a failed append leaves nothing to undo.
+  StatusOr<rack::Assignment> chosen = rack_.Choose(job, policy);
+  if (!chosen.ok()) {
+    return wire::Response::Failure(chosen.status());
   }
-  const int machine_index = admitted->machine_index;
+  const int machine_index = chosen->machine_index;
   const rack::RackMachine& machine = rack_.machines()[machine_index];
+  const WorkloadDescription& description =
+      job.descriptions.at(machine.description.topo.name);
+  const std::string placement = wire::PlacementToCsv(*chosen->placement);
 
   wire::Request record;
   record.verb = "ADMITTED";
   record.params.emplace_back("name", job.name);
   record.params.emplace_back("machine", StrFormat("%d", machine_index));
-  record.params.emplace_back("placement", wire::PlacementToCsv(*admitted->placement));
-  record.params.emplace_back(
-      "desc", WorkloadDescriptionToText(
-                  job.descriptions.at(machine.description.topo.name)));
+  record.params.emplace_back("placement", placement);
+  record.params.emplace_back("desc", WorkloadDescriptionToText(description));
   if (Status journaled = AppendJournal(record); !journaled.ok()) {
-    // Unwind the admission: live state must never hold a mutation the
-    // journal (and the client, who sees err) does not.
-    (void)rack_.RestoreState(saved);
-    obs::EventLog::Global().Log(obs::LogLevel::kWarn, "serve.rollback",
-                                "rolled back admission after journal failure",
-                                {{"name", job.name}});
-    recorder_->Record("rollback", "ADMIT name=" + wire::EscapeValue(job.name),
-                      /*ok=*/false);
     return wire::Response::Failure(journaled);
+  }
+  if (Status placed = rack_.AdmitAt(job.name, machine_index, description,
+                                    *chosen->placement, chosen->predicted_speedup);
+      !placed.ok()) {
+    return wire::Response::Failure(placed);
   }
 
   wire::Response response = wire::Response::Success("ADMIT");
   response.payload.push_back(StrFormat("machine = %d", machine_index));
   response.payload.push_back(
       StrFormat("machine-name = %s", wire::EscapeValue(machine.name).c_str()));
-  response.payload.push_back(StrFormat(
-      "placement = %s", wire::PlacementToCsv(*admitted->placement).c_str()));
+  response.payload.push_back(StrFormat("placement = %s", placement.c_str()));
   response.payload.push_back(
-      StrFormat("threads = %d", admitted->placement->TotalThreads()));
+      StrFormat("threads = %d", chosen->placement->TotalThreads()));
   response.payload.push_back(
-      StrFormat("speedup = %.6f", admitted->predicted_speedup));
+      StrFormat("speedup = %.6f", chosen->predicted_speedup));
   return response;
+}
+
+Status PlacementService::MoveJob(const std::string& name, int machine_index,
+                                 const rack::Rack::Candidate& candidate,
+                                 std::vector<std::string>& payload) {
+  const std::string placement = wire::PlacementToCsv(candidate.placement);
+  wire::Request record;
+  record.verb = "MOVED";
+  record.params.emplace_back("name", name);
+  record.params.emplace_back("machine", StrFormat("%d", machine_index));
+  record.params.emplace_back("placement", placement);
+  PANDIA_RETURN_IF_ERROR(AppendJournal(record));
+  PANDIA_RETURN_IF_ERROR(rack_.Move(name, machine_index, candidate.placement));
+  payload.push_back(StrFormat("moved = %s machine=%d placement=%s speedup=%.6f",
+                              wire::EscapeValue(name).c_str(), machine_index,
+                              placement.c_str(), candidate.job_speedup));
+  return Status::Ok();
 }
 
 Status PlacementService::ReplaceDegraded(int machine_index,
@@ -501,29 +513,7 @@ Status PlacementService::ReplaceDegraded(int machine_index,
     if (!candidate.has_value() || candidate->job_speedup <= must_beat) {
       continue;
     }
-    const rack::Rack::SavedState saved = rack_.SaveState();
-    PANDIA_RETURN_IF_ERROR(rack_.Move(name, machine_index, candidate->placement));
-    wire::Request record;
-    record.verb = "MOVED";
-    record.params.emplace_back("name", name);
-    record.params.emplace_back("machine", StrFormat("%d", machine_index));
-    record.params.emplace_back("placement",
-                               wire::PlacementToCsv(candidate->placement));
-    if (Status journaled = AppendJournal(record); !journaled.ok()) {
-      // Unrecorded moves must not survive in live state (counters and the
-      // job's move/telemetry baselines included).
-      (void)rack_.RestoreState(saved);
-      obs::EventLog::Global().Log(obs::LogLevel::kWarn, "serve.rollback",
-                                  "rolled back re-placement after journal failure",
-                                  {{"name", name}});
-      recorder_->Record("rollback", "MOVE name=" + wire::EscapeValue(name),
-                        /*ok=*/false);
-      return journaled;
-    }
-    payload.push_back(StrFormat("moved = %s machine=%d placement=%s speedup=%.6f",
-                                wire::EscapeValue(name).c_str(), machine_index,
-                                wire::PlacementToCsv(candidate->placement).c_str(),
-                                candidate->job_speedup));
+    PANDIA_RETURN_IF_ERROR(MoveJob(name, machine_index, *candidate, payload));
   }
   return Status::Ok();
 }
@@ -540,36 +530,29 @@ wire::Response PlacementService::HandleDepart(const wire::Request& request) {
           StrFormat("DEPART does not take parameter '%s'", key.c_str())));
     }
   }
-  // Full-state capture before removal: restoring (rather than re-admitting)
-  // on a failed journal append keeps the job's admit_seq / move count /
-  // co-event baseline and the rack's mutation counters, so TELEMETRY is
-  // byte-identical to never having tried the departure.
-  const rack::Rack::SavedState saved = rack_.SaveState();
-  StatusOr<int> departed = rack_.Depart(*name);
-  if (!departed.ok()) {
-    return wire::Response::Failure(departed.status());
+  // Only a resident job departs; the check answers exactly as Depart would.
+  if (StatusOr<int> resident = rack_.MachineOf(*name); !resident.ok()) {
+    return wire::Response::Failure(resident.status());
   }
   wire::Request record;
   record.verb = "DEPARTED";
   record.params.emplace_back("name", *name);
   if (Status journaled = AppendJournal(record); !journaled.ok()) {
-    (void)rack_.RestoreState(saved);
-    obs::EventLog::Global().Log(obs::LogLevel::kWarn, "serve.rollback",
-                                "rolled back departure after journal failure",
-                                {{"name", *name}});
-    recorder_->Record("rollback", "DEPART name=" + wire::EscapeValue(*name),
-                      /*ok=*/false);
     return wire::Response::Failure(journaled);
+  }
+  StatusOr<int> departed = rack_.Depart(*name);
+  if (!departed.ok()) {
+    return wire::Response::Failure(departed.status());
   }
 
   wire::Response response = wire::Response::Success("DEPART");
   response.payload.push_back(StrFormat("machine = %d", *departed));
   // Freed threads are an opportunity: re-place neighbours the departed job
   // was degrading. The departure itself is already durable and applied, so
-  // a failed re-placement (journal append mid-MOVE; the move is rolled
-  // back inside ReplaceDegraded) must not convert this response into an
-  // error — the client would be told a committed departure failed, and a
-  // retry would get 'not resident'. Report it as a warning row instead.
+  // a failed re-placement (a MOVED append that failed, so the move never
+  // happened) must not convert this response into an error — the client
+  // would be told a committed departure failed, and a retry would get 'not
+  // resident'. Report it as a warning row instead.
   if (Status replaced = ReplaceDegraded(*departed, response.payload);
       !replaced.ok()) {
     response.payload.push_back(StrFormat("warning = re-placement skipped: %s",
@@ -661,34 +644,10 @@ wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
       if (!best.has_value()) {
         continue;
       }
-      const rack::Rack::SavedState saved = rack_.SaveState();
-      if (Status status = rack_.Move(entry.name, best_machine, best->placement);
+      if (Status status = MoveJob(entry.name, best_machine, *best, response.payload);
           !status.ok()) {
         return wire::Response::Failure(status);
       }
-      wire::Request record;
-      record.verb = "MOVED";
-      record.params.emplace_back("name", entry.name);
-      record.params.emplace_back("machine", StrFormat("%d", best_machine));
-      record.params.emplace_back("placement", wire::PlacementToCsv(best->placement));
-      if (Status journaled = AppendJournal(record); !journaled.ok()) {
-        // Unrecorded moves must not survive in live state (counters and
-        // telemetry baselines included).
-        (void)rack_.RestoreState(saved);
-        obs::EventLog::Global().Log(
-            obs::LogLevel::kWarn, "serve.rollback",
-            "rolled back rebalance move after journal failure",
-            {{"name", entry.name}});
-        recorder_->Record("rollback",
-                          "MOVE name=" + wire::EscapeValue(entry.name),
-                          /*ok=*/false);
-        return wire::Response::Failure(journaled);
-      }
-      response.payload.push_back(
-          StrFormat("moved = %s machine=%d placement=%s speedup=%.6f",
-                    wire::EscapeValue(entry.name).c_str(), best_machine,
-                    wire::PlacementToCsv(best->placement).c_str(),
-                    best->job_speedup));
       ++migrations;
       moved = true;
       break;  // re-rank after every migration

@@ -21,20 +21,22 @@
 //   SHUTDOWN   acknowledge and stop the serving loop
 //
 // Telemetry: every request is counted and timed (serve.<verb>.latency_us
-// histograms), journal appends are timed and sized, error and rollback
-// paths log through obs::EventLog, and a per-service obs::FlightRecorder
-// retains the recent request/journal history for the RECORDER verb.
+// histograms), journal appends are timed and sized, error paths log
+// through obs::EventLog, and a per-service obs::FlightRecorder retains the
+// recent request/journal history for the RECORDER verb.
 //
 // Every mutation is journaled through the durable checksummed Journal
 // (src/serve/journal.h: per-record CRC32C framing, configurable fsync
 // policy, snapshot + compaction, torn-tail recovery) so a restarted daemon
 // replays its exact state: admissions embed the workload description text,
-// so the journal is self-contained and replay needs no other files.
-// Requests never abort the process — malformed input and infeasible
+// so the journal is self-contained and replay needs no other files. Each
+// mutation is write-ahead: the read-only decision first, then the journal
+// append, then the change to the rack, so a failed append leaves nothing to
+// undo. Requests never abort the process — malformed input and infeasible
 // placements surface as structured `err` replies.
 //
 // When journal appends fail persistently (a full or faulted disk), the
-// service degrades to read-only instead of rolling back every mutation
+// service degrades to read-only instead of failing every mutation's append
 // forever: mutating verbs return `err unavailable` while STATUS / METRICS /
 // TELEMETRY / RECORDER keep serving, the `serve.degraded` gauge goes to 1,
 // and each rejected mutation first probes the journal with a NOTE record so
@@ -85,8 +87,8 @@ struct ServiceOptions {
   // Journal durability knobs: sync policy, fsync cadence, and the test-only
   // injected-failure count (see src/serve/journal.h).
   JournalOptions journal;
-  // Consecutive journal-append failures before the service stops rolling
-  // back every mutation and enters read-only degraded mode.
+  // Consecutive journal-append failures before the service stops trying
+  // each mutation and enters read-only degraded mode.
   int degraded_failure_threshold = 3;
   // Automatic compaction fires once at least compact_min_records records
   // accumulated since the last snapshot AND resident jobs per
@@ -180,10 +182,16 @@ class PlacementService : public RequestHandler {
   wire::Response HandleRecorder(const wire::Request& request) const
       PANDIA_REQUIRES(mu_);
 
-  // Re-places machine residents whose best re-placement beats the margin;
-  // appends one journal record and one `moved =` payload line per move.
+  // Re-places machine residents whose best re-placement beats the margin,
+  // one MoveJob each.
   Status ReplaceDegraded(int machine_index, std::vector<std::string>& payload)
       PANDIA_REQUIRES(mu_);
+  // Journals a MOVED record, then moves `name` to the candidate's placement
+  // on `machine_index` and appends the `moved =` payload row. A failed
+  // append moves nothing.
+  Status MoveJob(const std::string& name, int machine_index,
+                 const rack::Rack::Candidate& candidate,
+                 std::vector<std::string>& payload) PANDIA_REQUIRES(mu_);
 
   // Applies one recovered journal record (ADMITTED / DEPARTED / MOVED) to
   // the rack; `line` names the journal line in error messages.

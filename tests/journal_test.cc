@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/eval/pipeline.h"
+#include "src/obs/metrics.h"
 #include "src/serialize/serialize.h"
 #include "src/serve/service.h"
 #include "src/util/crc32c.h"
@@ -398,11 +399,14 @@ std::vector<rack::RackMachine> TwoNodeRack() {
 }
 
 std::string AdmitLine(const std::string& name, const std::string& workload,
-                      int threads) {
+                      int threads, const std::string& policy = "") {
   wire::Request request;
   request.verb = "ADMIT";
   request.params.emplace_back("name", name);
   request.params.emplace_back("threads", StrFormat("%d", threads));
+  if (!policy.empty()) {
+    request.params.emplace_back("policy", policy);
+  }
   request.params.emplace_back("desc.x3-2", DescriptionText(workload));
   return wire::FormatRequest(request);
 }
@@ -435,9 +439,9 @@ TEST(ServiceDegraded, PersistentAppendFailureEntersReadOnlyModeAndRecovers) {
     EXPECT_NE(response.find("unavailable"), std::string::npos) << response;
   }
   EXPECT_TRUE(service.degraded());
-  // Failed appends rolled every mutation back: TELEMETRY is byte-identical
-  // to never having tried (the DEPART-rollback telemetry fix rides on the
-  // same SaveState/RestoreState path).
+  // A mutation applies only after its record is durable, so the failed
+  // appends left the rack untouched: TELEMETRY is byte-identical to never
+  // having tried.
   EXPECT_EQ(service.HandleLine("TELEMETRY"), telemetry_before);
 
   // Read verbs keep serving; mutating verbs are refused with a read-only
@@ -477,8 +481,8 @@ TEST(ServiceDegraded, DepartStaysAcknowledgedWhenReplacementJournalFails) {
   // re-placement fails. The departure is durable and applied, so the
   // response must stay ok — converting it to an error would tell the
   // client a committed mutation failed (and a retry would get 'not
-  // resident'). The failed move itself is rolled back and reported as a
-  // warning row.
+  // resident'). The move whose record failed never happens and is reported
+  // as a warning row.
   ASSERT_NE(service->journal_for_test(), nullptr);
   service->journal_for_test()->InjectAppendFailures(1, /*after=*/1);
   const std::string departed = service->HandleLine("DEPART name=hog-a");
@@ -487,7 +491,7 @@ TEST(ServiceDegraded, DepartStaysAcknowledgedWhenReplacementJournalFails) {
   ASSERT_NE(departed.find("warning = "), std::string::npos) << departed;
   EXPECT_NE(departed.find("re-placement skipped"), std::string::npos)
       << departed;
-  // The rolled-back move must not be reported as having happened.
+  // The unjournaled move must not be reported as having happened.
   EXPECT_EQ(departed.find("moved = "), std::string::npos) << departed;
   // The acknowledged state matches the journal: a restart replays to the
   // same bytes.
@@ -499,6 +503,71 @@ TEST(ServiceDegraded, DepartStaysAcknowledgedWhenReplacementJournalFails) {
       MustCreate(std::move(machines_again), options));
   EXPECT_EQ(replayed->HandleLine("STATUS"), status);
   EXPECT_EQ(replayed->HandleLine("TELEMETRY"), telemetry);
+  std::remove(journal.c_str());
+}
+
+// Every mutation appends its record before it applies, so a failed append
+// leaves no trace: not in STATUS or TELEMETRY, not in the rack's mutation
+// counters, and not in what a restart replays. One failure is injected at
+// each mutation site: ADMIT, DEPART, a REBALANCE move, and the neighbour
+// move that follows a journaled DEPART.
+TEST(ServiceDegraded, FailedAppendLeavesNoTrace) {
+  const std::string journal = TempPath("service_failed_append.wire");
+  ServiceOptions options;
+  options.journal_path = journal;
+  // Every re-placement clears a negative margin, so DEPART and REBALANCE
+  // always try to move a job.
+  options.replace_margin = -1.0;
+  // The failures below come back to back; none may switch the service to
+  // read-only mode.
+  options.degraded_failure_threshold = 10;
+  std::optional<PlacementService> service(MustCreate(TwoNodeRack(), options));
+  // First fit stacks both hogs on node0; c then lands on node1.
+  ASSERT_TRUE(IsOkBlock(service->HandleLine(AdmitLine("a", "Swim", 16, "first-fit"))));
+  ASSERT_TRUE(IsOkBlock(service->HandleLine(AdmitLine("b", "Swim", 16, "first-fit"))));
+  ASSERT_TRUE(IsOkBlock(service->HandleLine(AdmitLine("c", "EP", 4))));
+  ASSERT_EQ(service->rack().JobsOn(0).size(), 2u);
+  ASSERT_NE(service->journal_for_test(), nullptr);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto counts = [&] {
+    return std::vector<uint64_t>{registry.counter("rack.admissions").value(),
+                                 registry.counter("rack.departures").value(),
+                                 registry.counter("rack.moves").value()};
+  };
+  const std::string status = service->HandleLine("STATUS");
+  const std::string telemetry = service->HandleLine("TELEMETRY");
+  const std::vector<uint64_t> before = counts();
+  for (const std::string& line :
+       {AdmitLine("d", "EP", 4), std::string("DEPART name=c"),
+        std::string("REBALANCE max-migrations=1")}) {
+    service->journal_for_test()->InjectAppendFailures(1);
+    const std::string response = service->HandleLine(line);
+    const std::string verb = line.substr(0, line.find(' '));
+    EXPECT_TRUE(IsErrBlock(response)) << verb << " -> " << response;
+    EXPECT_NE(response.find("unavailable"), std::string::npos) << response;
+    EXPECT_EQ(service->HandleLine("STATUS"), status) << verb;
+    EXPECT_EQ(service->HandleLine("TELEMETRY"), telemetry) << verb;
+    EXPECT_EQ(counts(), before) << verb;
+  }
+  EXPECT_FALSE(service->degraded());
+
+  // The DEPARTED append lands, so the departure applies; b's MOVED append
+  // fails, so b stays where it is and the response says so.
+  service->journal_for_test()->InjectAppendFailures(1, /*after=*/1);
+  const std::string departed = service->HandleLine("DEPART name=a");
+  ASSERT_TRUE(IsOkBlock(departed)) << departed;
+  EXPECT_NE(departed.find("warning = "), std::string::npos) << departed;
+  EXPECT_EQ(departed.find("moved = "), std::string::npos) << departed;
+  EXPECT_EQ(counts(), (std::vector<uint64_t>{before[0], before[1] + 1, before[2]}));
+  const std::string status_after = service->HandleLine("STATUS");
+  const std::string telemetry_after = service->HandleLine("TELEMETRY");
+  EXPECT_NE(status_after, status);
+
+  service.reset();
+  std::optional<PlacementService> replayed(MustCreate(TwoNodeRack(), options));
+  EXPECT_EQ(replayed->HandleLine("STATUS"), status_after);
+  EXPECT_EQ(replayed->HandleLine("TELEMETRY"), telemetry_after);
   std::remove(journal.c_str());
 }
 

@@ -115,49 +115,6 @@ TEST(PredictionCache, EvictsOldestWhenOverCapacity) {
   EXPECT_GT(CounterValue("prediction_cache.evictions") - evictions0, 0u);
 }
 
-// Regression test for the invalidation hook the placement service relies
-// on: insert → hit, BumpGeneration → logical miss (counted), re-insert
-// under the new generation → hit again.
-TEST(PredictionCache, BumpGenerationInvalidatesEarlierInserts) {
-  PredictionCache cache(1024);
-  const PredictionCacheKey key{7, 9};
-  Prediction prediction;
-  prediction.speedup = 1.25;
-  cache.Insert(key, prediction);
-  ASSERT_TRUE(cache.Lookup(key).has_value());
-
-  const uint64_t generation0 = cache.generation();
-  const uint64_t invalidations0 =
-      CounterValue("prediction_cache.generation_invalidations");
-  cache.BumpGeneration();
-  EXPECT_EQ(cache.generation(), generation0 + 1);
-  EXPECT_FALSE(cache.Lookup(key).has_value());
-  EXPECT_EQ(CounterValue("prediction_cache.generation_invalidations") -
-                invalidations0,
-            1u);
-  // The stale entry was reclaimed on lookup, not merely hidden.
-  EXPECT_EQ(cache.size(), 0u);
-
-  prediction.speedup = 1.5;
-  cache.Insert(key, prediction);
-  const std::optional<Prediction> fresh = cache.Lookup(key);
-  ASSERT_TRUE(fresh.has_value());
-  EXPECT_EQ(fresh->speedup, 1.5);
-}
-
-TEST(PredictionCache, BumpGenerationInvalidatesEveryShard) {
-  PredictionCache cache(1024);
-  for (uint64_t i = 0; i < 64; ++i) {
-    cache.Insert(PredictionCacheKey{i, i * 131}, Prediction{});
-  }
-  EXPECT_EQ(cache.size(), 64u);
-  cache.BumpGeneration();
-  for (uint64_t i = 0; i < 64; ++i) {
-    EXPECT_FALSE(cache.Lookup(PredictionCacheKey{i, i * 131}).has_value()) << i;
-  }
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(PredictionCache, ClearEmptiesEveryShard) {
   PredictionCache cache(1024);
   for (uint64_t i = 0; i < 64; ++i) {

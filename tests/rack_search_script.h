@@ -36,6 +36,12 @@ inline const std::vector<std::string>& MachineTypes() {
   return types;
 }
 
+// The workloads the script admits.
+inline const std::vector<std::string>& Suite() {
+  static const std::vector<std::string> suite = {"EP", "CG", "MD", "Swim", "BT", "IS"};
+  return suite;
+}
+
 inline const eval::Pipeline& PipelineFor(const std::string& type) {
   static std::map<std::string, const eval::Pipeline*>* pipelines =
       new std::map<std::string, const eval::Pipeline*>();
@@ -70,7 +76,7 @@ inline std::vector<rack::RackMachine> Machines() {
 }
 
 inline std::string RunRackSearchScript(PlacementService& service) {
-  const std::vector<std::string> suite = {"EP", "CG", "MD", "Swim", "BT", "IS"};
+  const std::vector<std::string>& suite = Suite();
   const std::vector<rack::Policy> policies = {rack::Policy::kBestSpeedup,
                                               rack::Policy::kLeastInterference,
                                               rack::Policy::kFirstFit};

@@ -40,47 +40,14 @@ std::vector<RackMachine> TwoNodeRack() {
   return {{"node0", X3().description()}, {"node1", X3().description()}};
 }
 
-// --- PlaceLoadsOnFreeCores ---
-
-TEST(PlaceOnFreeCores, UsesOnlyFreeSlots) {
-  const MachineTopology& topo = X3().machine().topology();
-  std::vector<uint8_t> free(static_cast<size_t>(topo.NumCores()), 2);
-  free[0] = 0;  // core 0 fully occupied
-  free[1] = 1;  // core 1 half occupied
-  std::vector<SocketLoad> loads{{2, 1}, {0, 0}};
-  const std::optional<Placement> placement = PlaceLoadsOnFreeCores(topo, loads, free);
-  ASSERT_TRUE(placement.has_value());
-  EXPECT_EQ(placement->ThreadsOnCore(0), 0);
-  EXPECT_EQ(placement->TotalThreads(), 4);
-  // Singles prefer the half-occupied core.
-  EXPECT_EQ(placement->ThreadsOnCore(1), 1);
-}
-
-TEST(PlaceOnFreeCores, FailsWhenDoublesDoNotFit) {
-  const MachineTopology& topo = X3().machine().topology();
-  std::vector<uint8_t> free(static_cast<size_t>(topo.NumCores()), 1);  // all half
-  std::vector<SocketLoad> loads{{0, 1}, {0, 0}};
-  EXPECT_FALSE(PlaceLoadsOnFreeCores(topo, loads, free).has_value());
-}
-
-TEST(PlaceOnFreeCores, FailsWhenSocketFull) {
-  const MachineTopology& topo = X3().machine().topology();
-  std::vector<uint8_t> free(static_cast<size_t>(topo.NumCores()), 2);
-  for (int c = 0; c < topo.cores_per_socket; ++c) {
-    free[c] = 0;
-  }
-  std::vector<SocketLoad> loads{{1, 0}, {0, 0}};
-  EXPECT_FALSE(PlaceLoadsOnFreeCores(topo, loads, free).has_value());
-}
-
-// --- scheduling ---
+// --- batch scheduling (Rack::Schedule) ---
 
 TEST(RackScheduler, PlacesEveryJobWhileRoomRemains) {
-  RackScheduler scheduler(TwoNodeRack());
+  Rack rack(TwoNodeRack());
   const std::vector<JobRequest> jobs{MakeJob("CG", 8), MakeJob("EP", 8),
                                      MakeJob("MD", 8)};
   const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kBestSpeedup);
+      rack.Schedule(jobs, Policy::kBestSpeedup);
   ASSERT_EQ(assignments.size(), 3u);
   for (const Assignment& assignment : assignments) {
     EXPECT_GE(assignment.machine_index, 0) << assignment.job;
@@ -92,14 +59,14 @@ TEST(RackScheduler, PlacesEveryJobWhileRoomRemains) {
 }
 
 TEST(RackScheduler, NeverOverSubscribesAMachine) {
-  RackScheduler scheduler(TwoNodeRack());
+  Rack rack(TwoNodeRack());
   // Far more thread demand than the rack holds (2 x 32 hardware threads).
   std::vector<JobRequest> jobs;
   for (int i = 0; i < 6; ++i) {
     jobs.push_back(MakeJob("EP", 16));
   }
   const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kFirstFit);
+      rack.Schedule(jobs, Policy::kFirstFit);
   std::vector<std::vector<int>> used(2);
   for (auto& u : used) {
     u.assign(static_cast<size_t>(X3().machine().topology().NumCores()), 0);
@@ -116,31 +83,31 @@ TEST(RackScheduler, NeverOverSubscribesAMachine) {
 }
 
 TEST(RackScheduler, FirstFitFillsNodeZeroFirst) {
-  RackScheduler scheduler(TwoNodeRack());
+  Rack rack(TwoNodeRack());
   const std::vector<JobRequest> jobs{MakeJob("EP", 4)};
   const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kFirstFit);
+      rack.Schedule(jobs, Policy::kFirstFit);
   EXPECT_EQ(assignments[0].machine_index, 0);
 }
 
 TEST(RackScheduler, BestSpeedupAvoidsTheBusyMachine) {
-  RackScheduler scheduler(TwoNodeRack());
+  Rack rack(TwoNodeRack());
   // Saturate node0 with a bandwidth hog, then place another one.
   const std::vector<JobRequest> first{MakeJob("Swim", 16)};
-  scheduler.Schedule(first, Policy::kFirstFit);
+  rack.Schedule(first, Policy::kFirstFit);
   const std::vector<JobRequest> second{MakeJob("Swim", 16)};
   const std::vector<Assignment> assignments =
-      scheduler.Schedule(second, Policy::kBestSpeedup);
+      rack.Schedule(second, Policy::kBestSpeedup);
   EXPECT_EQ(assignments[0].machine_index, 1);
 }
 
 TEST(RackScheduler, HeterogeneousRackPrefersTheBiggerMachine) {
   std::vector<RackMachine> machines{{"small", X3().description()},
                                     {"big", X5().description()}};
-  RackScheduler scheduler(std::move(machines));
+  Rack rack(std::move(machines));
   const std::vector<JobRequest> jobs{MakeJob("MD", 36)};
   const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kBestSpeedup);
+      rack.Schedule(jobs, Policy::kBestSpeedup);
   // MD scales: 36 threads on the Haswell beat 32 on the Sandy Bridge.
   EXPECT_EQ(assignments[0].machine_index, 1);
   EXPECT_EQ(assignments[0].placement->TotalThreads(), 36);
@@ -149,23 +116,23 @@ TEST(RackScheduler, HeterogeneousRackPrefersTheBiggerMachine) {
 TEST(RackScheduler, SkipsMachinesWithoutADescription) {
   std::vector<RackMachine> machines{{"small", X3().description()},
                                     {"big", X5().description()}};
-  RackScheduler scheduler(std::move(machines));
+  Rack rack(std::move(machines));
   JobRequest job;
   job.name = "CG-x5-only";
   job.requested_threads = 8;
   job.descriptions.emplace("x5-2", X5().Profile(workloads::ByName("CG")));
   const std::vector<Assignment> assignments =
-      scheduler.Schedule(std::vector<JobRequest>{job}, Policy::kFirstFit);
+      rack.Schedule(std::vector<JobRequest>{job}, Policy::kFirstFit);
   EXPECT_EQ(assignments[0].machine_index, 1);
 }
 
 TEST(RackScheduler, ReportsUnplaceableJobs) {
   std::vector<RackMachine> machines{{"node0", X3().description()}};
-  RackScheduler scheduler(std::move(machines));
+  Rack rack(std::move(machines));
   std::vector<JobRequest> jobs{MakeJob("EP", 32), MakeJob("EP", 32),
                                MakeJob("EP", 4)};
   const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kFirstFit);
+      rack.Schedule(jobs, Policy::kFirstFit);
   EXPECT_GE(assignments[0].machine_index, 0);
   EXPECT_EQ(assignments[1].machine_index, -1);  // machine already full
   EXPECT_EQ(assignments[2].machine_index, -1);
@@ -178,9 +145,9 @@ TEST(RackScheduler, LeastInterferenceBeatsFirstFitOnAggregateSpeedup) {
   const std::vector<JobRequest> jobs{MakeJob("Swim", 8), MakeJob("Bwaves", 8),
                                      MakeJob("EP", 8), MakeJob("MD", 8)};
   auto aggregate = [&](Policy policy) {
-    RackScheduler scheduler(TwoNodeRack());
+    Rack rack(TwoNodeRack());
     double total = 0.0;
-    for (const Assignment& assignment : scheduler.Schedule(jobs, policy)) {
+    for (const Assignment& assignment : rack.Schedule(jobs, policy)) {
       total += assignment.predicted_speedup;
     }
     return total;
@@ -235,16 +202,12 @@ TEST(Rack, RejectsAdmissionWhenRackHasZeroFreeThreads) {
   Rack rack(std::move(machines));
   const MachineTopology& topo = X3().machine().topology();
   // Fill every hardware thread with one recorded admission.
-  const std::vector<uint8_t> all_free(static_cast<size_t>(topo.NumCores()), 2);
   const std::vector<SocketLoad> full_loads(
       static_cast<size_t>(topo.num_sockets), SocketLoad{0, topo.cores_per_socket});
-  const std::optional<Placement> full =
-      PlaceLoadsOnFreeCores(topo, full_loads, all_free);
-  ASSERT_TRUE(full.has_value());
-  ASSERT_EQ(full->TotalThreads(), topo.NumHwThreads());
-  const JobRequest filler = MakeJob("EP", full->TotalThreads());
-  ASSERT_TRUE(
-      rack.AdmitAt("filler", 0, filler.descriptions.at("x3-2"), *full).ok());
+  const Placement full = Placement::FromSocketLoads(topo, full_loads);
+  ASSERT_EQ(full.TotalThreads(), topo.NumHwThreads());
+  const JobRequest filler = MakeJob("EP", full.TotalThreads());
+  ASSERT_TRUE(rack.AdmitAt("filler", 0, filler.descriptions.at("x3-2"), full).ok());
   EXPECT_EQ(rack.FreeThreadCount(0), 0);
 
   const StatusOr<Assignment> refused =
@@ -256,18 +219,17 @@ TEST(Rack, RejectsAdmissionWhenRackHasZeroFreeThreads) {
 TEST(Rack, MoveRelocatesAcrossMachinesLikeDepartAndReadmit) {
   Rack rack(TwoNodeRack());
   ASSERT_TRUE(rack.Admit(MakeJob("EP", 4), Policy::kFirstFit).ok());
-  const MachineTopology& topo = X3().machine().topology();
+  // Four threads on the empty machine 1.
   const std::vector<SocketLoad> loads{{4, 0}, {0, 0}};
-  const std::optional<Placement> placement =
-      PlaceLoadsOnFreeCores(topo, loads, rack.FreeThreads(1));
-  ASSERT_TRUE(placement.has_value());
-  ASSERT_TRUE(rack.Move("EP", 1, *placement).ok());
+  const Placement placement =
+      Placement::FromSocketLoads(X3().machine().topology(), loads);
+  ASSERT_TRUE(rack.Move("EP", 1, placement).ok());
   const StatusOr<int> where = rack.MachineOf("EP");
   ASSERT_TRUE(where.ok());
   EXPECT_EQ(*where, 1);
   EXPECT_TRUE(rack.JobsOn(0).empty());
   ASSERT_EQ(rack.JobsOn(1).size(), 1u);
-  EXPECT_TRUE(rack.JobsOn(1)[0].placement == *placement);
+  EXPECT_TRUE(rack.JobsOn(1)[0].placement == placement);
 }
 
 TEST(Rack, TelemetryTracksAdmitSeqMovesAndCoEvents) {
@@ -300,13 +262,12 @@ TEST(Rack, TelemetryTracksAdmitSeqMovesAndCoEvents) {
     }
   }
 
-  // Moving MD away churns machine 0 again and re-baselines MD on machine 1.
-  const MachineTopology& topo = X3().machine().topology();
+  // Moving MD to the empty machine 1 churns machine 0 again and
+  // re-baselines MD there.
   const std::vector<SocketLoad> loads{{4, 0}, {0, 0}};
-  const std::optional<Placement> placement =
-      PlaceLoadsOnFreeCores(topo, loads, rack.FreeThreads(1));
-  ASSERT_TRUE(placement.has_value());
-  ASSERT_TRUE(rack.Move("MD", 1, *placement).ok());
+  ASSERT_TRUE(
+      rack.Move("MD", 1, Placement::FromSocketLoads(X3().machine().topology(), loads))
+          .ok());
   const Rack::TelemetrySnapshot snapshot = rack.Telemetry();
   EXPECT_EQ(snapshot.mutation_seq, 3u);
   for (const Rack::JobTelemetry& job : snapshot.jobs) {
@@ -373,11 +334,11 @@ TEST(Rack, PredictMachineMatchesResidentOrder) {
 }
 
 TEST(RackScheduler, ResetClearsResidents) {
-  RackScheduler scheduler(TwoNodeRack());
-  scheduler.Schedule(std::vector<JobRequest>{MakeJob("EP", 8)}, Policy::kFirstFit);
-  EXPECT_FALSE(scheduler.ResidentsOf(0).empty());
-  scheduler.Reset();
-  EXPECT_TRUE(scheduler.ResidentsOf(0).empty());
+  Rack rack(TwoNodeRack());
+  rack.Schedule(std::vector<JobRequest>{MakeJob("EP", 8)}, Policy::kFirstFit);
+  EXPECT_FALSE(rack.JobsOn(0).empty());
+  rack.Reset();
+  EXPECT_TRUE(rack.JobsOn(0).empty());
 }
 
 // --- bound-and-prune search exactness ---

@@ -20,6 +20,7 @@
 
 #include "src/eval/pipeline.h"
 #include "src/obs/metrics.h"
+#include "src/predictor/prediction_cache.h"
 #include "src/serialize/serialize.h"
 #include "src/serve/client.h"
 #include "src/serve/socket.h"
@@ -179,6 +180,50 @@ TEST(PlacementService, RackSearchMatchesGoldenTranscript) {
     ASSERT_TRUE(WriteTextFile(actual, transcript).ok());
     ADD_FAILURE() << "transcript differs from tests/data/golden/rack_search.txt ("
                   << golden.status().ToString() << "); actual written to " << actual;
+  }
+}
+
+// The work behind the same script, pinned exactly: from an empty
+// prediction cache and a serial probe fan-out, the script's joint solves,
+// solver iterations, enumerated candidates and solved candidates are
+// deterministic. A change may lower these counts; one that raises them
+// says why.
+TEST(PlacementService, RackSearchWorkMatchesGolden) {
+  // Profiling runs the predictor too, so it happens before any counter is
+  // read.
+  for (const std::string& type : rack_search_script::MachineTypes()) {
+    for (const std::string& workload : rack_search_script::Suite()) {
+      (void)rack_search_script::DescriptionText(type, workload);
+    }
+  }
+  PredictionCache::Global().Clear();
+  ServiceOptions options;
+  options.prediction.common.jobs = 1;
+  PlacementService service = MustCreate(rack_search_script::Machines(), options);
+  const std::vector<std::string> names = {"predictor.predictions", "predictor.iterations",
+                                          "rack.probe.candidates", "rack.probe.solves"};
+  std::vector<uint64_t> before;
+  for (const std::string& name : names) {
+    before.push_back(obs::MetricsRegistry::Global().counter(name).value());
+  }
+  (void)rack_search_script::RunRackSearchScript(service);
+  std::string work;
+  for (size_t i = 0; i < names.size(); ++i) {
+    const uint64_t delta =
+        obs::MetricsRegistry::Global().counter(names[i]).value() - before[i];
+    work += StrFormat("%s %llu\n", names[i].c_str(),
+                      static_cast<unsigned long long>(delta));
+  }
+
+  const StatusOr<std::string> golden =
+      ReadTextFile(PANDIA_TEST_DATA_DIR "/golden/rack_search_work.txt");
+  if (!golden.ok() || *golden != work) {
+    const std::string actual = ::testing::TempDir() + "/rack_search_work.actual.txt";
+    ASSERT_TRUE(WriteTextFile(actual, work).ok());
+    ADD_FAILURE() << "work differs from tests/data/golden/rack_search_work.txt ("
+                  << golden.status().ToString() << "); actual written to " << actual
+                  << ":\n"
+                  << work;
   }
 }
 
