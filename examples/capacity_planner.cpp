@@ -35,20 +35,15 @@ int main(int argc, char** argv) {
     const sim::WorkloadSpec workload = workloads::ByName(name);
     const WorkloadDescription desc = pipeline.Profile(workload);
     const Predictor predictor = pipeline.MakePredictor(desc);
-    const std::optional<RankedPlacement> cheapest =
-        FindCheapestPlacement(predictor, target);
-    if (!cheapest.has_value()) {
-      table.AddRow({name, "-", "-", "-", "-", "-"});
-      continue;
-    }
+    const RankedPlacement cheapest = FindCheapestPlacement(predictor, target);
     const double measured = pipeline.machine()
-                                .RunOne(workload, cheapest->placement)
+                                .RunOne(workload, cheapest.placement)
                                 .jobs[0]
                                 .completion_time;
-    table.AddRow({name, StrFormat("%d", cheapest->placement.TotalThreads()),
-                  StrFormat("%d", cheapest->placement.NumActiveSockets()),
-                  StrFormat("%d", machine_threads - cheapest->placement.TotalThreads()),
-                  StrFormat("%.1fx", cheapest->prediction.speedup),
+    table.AddRow({name, StrFormat("%d", cheapest.placement.TotalThreads()),
+                  StrFormat("%d", cheapest.placement.NumActiveSockets()),
+                  StrFormat("%d", machine_threads - cheapest.placement.TotalThreads()),
+                  StrFormat("%.1fx", cheapest.prediction.speedup),
                   StrFormat("%.1fx", desc.t1 / measured)});
   }
   table.Print();

@@ -1,6 +1,9 @@
 #include "src/predictor/optimizer.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/parallel_metrics.h"
@@ -56,32 +59,49 @@ StatusOr<std::vector<Placement>> CandidatePlacements(const MachineTopology& topo
   return candidates;
 }
 
-obs::Counter& PlacementsEvaluatedCounter() {
+obs::Counter& PlacementsPrunedCounter() {
   static obs::Counter& counter =
-      obs::MetricsRegistry::Global().counter("optimizer.placements_evaluated");
+      obs::MetricsRegistry::Global().counter("optimizer.placements_pruned");
   return counter;
 }
 
-// Predicts every candidate, fanning out across options.common.jobs workers. Each
-// prediction lands in the slot matching its candidate index, so the result
-// vector is identical to a serial loop regardless of job count.
-std::vector<Prediction> PredictCandidates(const Predictor& predictor,
-                                          const std::vector<Placement>& candidates,
-                                          const OptimizerOptions& options) {
+// The ranking order and the one tie rule every search decision shares:
+// the higher speedup first, and of equal speedups the earlier candidate —
+// the order a stable sort by descending speedup leaves the enumeration in.
+bool RanksBefore(double speedup, size_t index, double other_speedup,
+                 size_t other_index) {
+  return speedup > other_speedup || (speedup == other_speedup && index < other_index);
+}
+
+// A predicted candidate, by its index in the candidate list.
+struct Scored {
+  size_t index = 0;
+  Prediction prediction;
+};
+
+// Predicts candidates[batch[b]] into slot b, fanning out across
+// options.common.jobs workers. Chunking is static and slots are written by
+// index, so the result is identical to a serial loop at any job count.
+std::vector<Scored> PredictBatch(const Predictor& predictor,
+                                 const std::vector<Placement>& candidates,
+                                 const std::vector<size_t>& batch,
+                                 const OptimizerOptions& options) {
+  static obs::Counter& evaluated =
+      obs::MetricsRegistry::Global().counter("optimizer.placements_evaluated");
   obs::InstallParallelMetrics();
-  PlacementsEvaluatedCounter().Increment(candidates.size());
-  std::vector<Prediction> predictions(candidates.size());
+  evaluated.Increment(batch.size());
+  std::vector<Scored> scored(batch.size());
   PredictionCache* cache =
       options.common.use_cache ? &PredictionCache::Global() : nullptr;
-  util::ParallelFor(candidates.size(), options.common.jobs, [&](size_t i) {
-    predictions[i] = PredictCached(predictor, candidates[i], cache);
+  util::ParallelFor(batch.size(), options.common.jobs, [&](size_t b) {
+    scored[b] = Scored{batch[b], PredictCached(predictor, candidates[batch[b]], cache)};
   });
-  // Divergent solves keep their slot (the ranking stays deterministic and
-  // complete) but are surfaced: counted here, flagged in reports, and never
-  // memoized (see PredictCached).
+  // Divergent solves keep their place (the ranking stays deterministic) but
+  // are surfaced: counted here, flagged in reports, and never memoized (see
+  // PredictCached).
   uint64_t non_converged = 0;
-  for (const Prediction& prediction : predictions) {
-    if (!prediction.converged) {
+  for (const Scored& s : scored) {
+    if (!s.prediction.converged) {
       ++non_converged;
     }
   }
@@ -90,7 +110,61 @@ std::vector<Prediction> PredictCandidates(const Predictor& predictor,
         obs::MetricsRegistry::Global().counter("optimizer.non_converged_ranked");
     counter.Increment(non_converged);
   }
-  return predictions;
+  return scored;
+}
+
+// The first `top_k` candidates in RanksBefore order, bit for bit the head of
+// a stable sort of every prediction, from a bound-and-prune search.
+// Candidates are solved in classes of equal speedup ceiling
+// (Predictor::SpeedupCeiling), highest first, one ParallelFor batch per
+// class; while fewer than top_k are held nothing can be pruned, so whole
+// classes merge into one batch until it fills the top k. From then on a
+// candidate is skipped unless its ceiling ranks before the k-th held
+// result, index against index. The held results only improve, so a skipped
+// candidate could never have entered. Pruning reads the held results only
+// between batches, so the solve set is the same at every job count.
+std::vector<Scored> TopCandidates(const Predictor& predictor,
+                                  const std::vector<Placement>& candidates, size_t top_k,
+                                  const OptimizerOptions& options) {
+  std::vector<double> ceilings(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    ceilings[i] = predictor.SpeedupCeiling(candidates[i].TotalThreads());
+  }
+  std::vector<size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return ceilings[a] > ceilings[b]; });
+
+  std::vector<Scored> top;
+  size_t predicted = 0;
+  size_t next = 0;  // the first unvisited position in `order`
+  while (next < order.size()) {
+    std::vector<size_t> batch;
+    do {
+      const double ceiling = ceilings[order[next]];
+      for (; next < order.size() && ceilings[order[next]] == ceiling; ++next) {
+        if (top.size() < top_k || RanksBefore(ceiling, order[next],
+                                              top.back().prediction.speedup,
+                                              top.back().index)) {
+          batch.push_back(order[next]);
+        }
+      }
+    } while (next < order.size() && top.size() + batch.size() < top_k);
+    if (batch.empty()) {
+      break;  // every later class has a lower ceiling still
+    }
+    predicted += batch.size();
+    std::vector<Scored> scored = PredictBatch(predictor, candidates, batch, options);
+    std::move(scored.begin(), scored.end(), std::back_inserter(top));
+    std::sort(top.begin(), top.end(), [](const Scored& a, const Scored& b) {
+      return RanksBefore(a.prediction.speedup, a.index, b.prediction.speedup, b.index);
+    });
+    if (top.size() > top_k) {
+      top.resize(top_k);
+    }
+  }
+  PlacementsPrunedCounter().Increment(candidates.size() - predicted);
+  return top;
 }
 
 }  // namespace
@@ -154,23 +228,10 @@ StatusOr<std::vector<RankedPlacement>> TryRankPlacements(
       CandidatePlacements(predictor.machine().topo, options);
   PANDIA_RETURN_IF_ERROR(candidates_or.status());
   std::vector<Placement>& candidates = *candidates_or;
-  std::vector<Prediction> predictions =
-      PredictCandidates(predictor, candidates, options);
   std::vector<RankedPlacement> ranked;
-  ranked.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  for (Scored& s : TopCandidates(predictor, candidates, top_k, options)) {
     ranked.push_back(
-        RankedPlacement{std::move(candidates[i]), std::move(predictions[i])});
-  }
-  // Stable sort with candidates in their deterministic enumeration/sample
-  // order: speedup ties resolve to the earlier candidate, so the ranking is
-  // reproducible across runs and identical at every job count.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const RankedPlacement& a, const RankedPlacement& b) {
-                     return a.prediction.speedup > b.prediction.speedup;
-                   });
-  if (ranked.size() > top_k) {
-    ranked.erase(ranked.begin() + static_cast<ptrdiff_t>(top_k), ranked.end());
+        RankedPlacement{std::move(candidates[s.index]), std::move(s.prediction)});
   }
   return ranked;
 }
@@ -187,44 +248,57 @@ StatusOr<RankedPlacement> TryFindCheapestPlacement(const Predictor& predictor,
       CandidatePlacements(predictor.machine().topo, options);
   PANDIA_RETURN_IF_ERROR(candidates_or.status());
   std::vector<Placement>& candidates = *candidates_or;
-  std::vector<Prediction> predictions =
-      PredictCandidates(predictor, candidates, options);
-  double best_speedup = 0.0;
-  std::vector<RankedPlacement> all;
-  all.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    all.push_back(
-        RankedPlacement{std::move(candidates[i]), std::move(predictions[i])});
-    best_speedup = std::max(best_speedup, all.back().prediction.speedup);
-  }
-  const double target = best_speedup * target_fraction;
-  std::optional<RankedPlacement> cheapest;
-  auto cost_less = [](const RankedPlacement& a, const RankedPlacement& b) {
-    if (a.placement.TotalThreads() != b.placement.TotalThreads()) {
-      return a.placement.TotalThreads() < b.placement.TotalThreads();
-    }
-    if (a.placement.NumActiveSockets() != b.placement.NumActiveSockets()) {
-      return a.placement.NumActiveSockets() < b.placement.NumActiveSockets();
-    }
-    return a.prediction.speedup > b.prediction.speedup;
+  const double target =
+      TopCandidates(predictor, candidates, 1, options).front().prediction.speedup *
+      target_fraction;
+
+  // Walk cost classes cheapest first: fewest threads, then fewest active
+  // sockets, enumeration order within a class. A class shares one ceiling,
+  // the ceiling of its thread count, so a class whose ceiling misses the
+  // target holds no qualifier and is skipped unsolved. The first class that
+  // holds a qualifier returns its fastest, the earliest on equal speedups.
+  const auto cost = [&](size_t i) {
+    return std::pair(candidates[i].TotalThreads(), candidates[i].NumActiveSockets());
   };
-  for (RankedPlacement& candidate : all) {
-    if (candidate.prediction.speedup + 1e-12 < target) {
+  std::vector<size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return cost(a) < cost(b); });
+  size_t predicted = 0;
+  for (size_t next = 0;;) {
+    // The best candidate meets its own target, so some class holds one.
+    PANDIA_CHECK(next < order.size());
+    const auto class_cost = cost(order[next]);
+    std::vector<size_t> batch;
+    for (; next < order.size() && cost(order[next]) == class_cost; ++next) {
+      batch.push_back(order[next]);
+    }
+    if (predictor.SpeedupCeiling(class_cost.first) + 1e-12 < target) {
       continue;
     }
-    if (!cheapest.has_value() || cost_less(candidate, *cheapest)) {
-      cheapest = std::move(candidate);
+    predicted += batch.size();
+    std::vector<Scored> scored = PredictBatch(predictor, candidates, batch, options);
+    Scored* cheapest = nullptr;
+    for (Scored& s : scored) {
+      if (s.prediction.speedup + 1e-12 < target) {
+        continue;
+      }
+      if (cheapest == nullptr ||
+          RanksBefore(s.prediction.speedup, s.index, cheapest->prediction.speedup,
+                      cheapest->index)) {
+        cheapest = &s;
+      }
+    }
+    if (cheapest != nullptr) {
+      PlacementsPrunedCounter().Increment(candidates.size() - predicted);
+      return RankedPlacement{std::move(candidates[cheapest->index]),
+                             std::move(cheapest->prediction)};
     }
   }
-  // The best candidate always meets its own target, so a non-empty
-  // candidate set guarantees a result.
-  PANDIA_CHECK(cheapest.has_value());
-  return *std::move(cheapest);
 }
 
-std::optional<RankedPlacement> FindCheapestPlacement(const Predictor& predictor,
-                                                     double target_fraction,
-                                                     const OptimizerOptions& options) {
+RankedPlacement FindCheapestPlacement(const Predictor& predictor, double target_fraction,
+                                      const OptimizerOptions& options) {
   StatusOr<RankedPlacement> cheapest =
       TryFindCheapestPlacement(predictor, target_fraction, options);
   PANDIA_CHECK_MSG(cheapest.ok(), cheapest.status().message().c_str());

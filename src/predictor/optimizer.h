@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "src/predictor/predictor.h"
@@ -51,13 +50,17 @@ std::function<bool(const Placement&)> NoSmtConstraint();
 std::function<bool(const Placement&)> MaxSocketsConstraint(int max_sockets);
 std::function<bool(const Placement&)> MaxThreadsConstraint(int max_threads);
 
-// Predicts every canonical placement (or a deterministic sample on very
-// large machines) and returns the one with the highest predicted speedup.
+// Searches the canonical placements (or a deterministic sample on very
+// large machines) and returns the one with the highest predicted speedup,
+// the earliest enumerated on ties. The search is exact bound-and-prune
+// (DESIGN.md, "Bound-and-prune probes"): a candidate whose speedup ceiling
+// cannot beat what the search holds is skipped unpredicted, and the result
+// is the exhaustive ranking's bit for bit at every job count.
 RankedPlacement FindBestPlacement(const Predictor& predictor,
                                   const OptimizerOptions& options = {});
 
 // Returns the best placements in descending predicted-speedup order (at
-// most `top_k`).
+// most `top_k`), the earlier enumerated first on equal speedups.
 std::vector<RankedPlacement> RankPlacements(const Predictor& predictor, size_t top_k,
                                             const OptimizerOptions& options = {});
 
@@ -73,15 +76,18 @@ std::vector<RankedPlacement> RankPlacements(const Predictor& predictor, size_t t
 // predicted speedup. Identifies over-provisioning: when scaling is poor, a
 // few cores deliver almost all of the achievable performance.
 //
-// TryFindCheapestPlacement is the primary surface (out-of-range
-// target_fraction and constraint-rejecting-everything report as Status);
-// FindCheapestPlacement is a thin aborting wrapper kept for bench code.
+// Of equal cost, the fastest wins, then the earliest enumerated. Cost
+// classes are visited cheapest first, and one whose speedup ceiling misses
+// the target is skipped unpredicted.
+//
+// TryFindCheapestPlacement reports an out-of-range target_fraction or a
+// constraint that rejects everything as a Status; FindCheapestPlacement
+// aborts on them instead.
 [[nodiscard]] StatusOr<RankedPlacement> TryFindCheapestPlacement(
     const Predictor& predictor, double target_fraction,
     const OptimizerOptions& options = {});
-std::optional<RankedPlacement> FindCheapestPlacement(
-    const Predictor& predictor, double target_fraction,
-    const OptimizerOptions& options = {});
+RankedPlacement FindCheapestPlacement(const Predictor& predictor, double target_fraction,
+                                      const OptimizerOptions& options = {});
 
 }  // namespace pandia
 

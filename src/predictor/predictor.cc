@@ -101,4 +101,8 @@ StatusOr<Prediction> Predictor::TryPredict(const Placement& placement) const {
   return Predict(placement);
 }
 
+double Predictor::SpeedupCeiling(int threads) const {
+  return engine_->SpeedupCeiling(workload_, threads);
+}
+
 }  // namespace pandia

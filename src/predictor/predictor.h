@@ -118,6 +118,11 @@ class Predictor {
   // for placements assembled from user input.
   [[nodiscard]] StatusOr<Prediction> TryPredict(const Placement& placement) const;
 
+  // An admissible ceiling on the speedup Predict can report for any
+  // placement of `threads` threads (CoSchedulePredictor::SpeedupCeiling);
+  // +infinity when the options stop after one iteration.
+  double SpeedupCeiling(int threads) const;
+
   const MachineDescription& machine() const { return machine_; }
   const WorkloadDescription& workload() const { return workload_; }
   const PredictionOptions& options() const { return options_; }

@@ -194,22 +194,20 @@ TEST(ParallelSearch, FindBestAndCheapestAgreeAcrossJobCounts) {
   OptimizerOptions serial_options;
   serial_options.common.jobs = 1;
   const RankedPlacement serial_best = FindBestPlacement(MdPredictor(), serial_options);
-  const std::optional<RankedPlacement> serial_cheap =
+  const RankedPlacement serial_cheap =
       FindCheapestPlacement(MdPredictor(), 0.95, serial_options);
-  ASSERT_TRUE(serial_cheap.has_value());
 
   OptimizerOptions parallel_options;
   parallel_options.common.jobs = 4;
   const RankedPlacement parallel_best =
       FindBestPlacement(MdPredictor(), parallel_options);
-  const std::optional<RankedPlacement> parallel_cheap =
+  const RankedPlacement parallel_cheap =
       FindCheapestPlacement(MdPredictor(), 0.95, parallel_options);
-  ASSERT_TRUE(parallel_cheap.has_value());
 
   EXPECT_TRUE(serial_best.placement == parallel_best.placement);
   EXPECT_EQ(serial_best.prediction.speedup, parallel_best.prediction.speedup);
-  EXPECT_TRUE(serial_cheap->placement == parallel_cheap->placement);
-  EXPECT_EQ(serial_cheap->prediction.speedup, parallel_cheap->prediction.speedup);
+  EXPECT_TRUE(serial_cheap.placement == parallel_cheap.placement);
+  EXPECT_EQ(serial_cheap.prediction.speedup, parallel_cheap.prediction.speedup);
 }
 
 }  // namespace

@@ -227,26 +227,26 @@ TEST(Optimizer, BestBeatsEveryEnumeratedPlacement) {
 TEST(Optimizer, CheapestPlacementMeetsTarget) {
   const Predictor predictor(X3Desc(), SomeWorkload());
   const RankedPlacement best = FindBestPlacement(predictor);
-  const std::optional<RankedPlacement> cheap = FindCheapestPlacement(predictor, 0.8);
-  ASSERT_TRUE(cheap.has_value());
-  EXPECT_GE(cheap->prediction.speedup, 0.8 * best.prediction.speedup - 1e-9);
-  EXPECT_LE(cheap->placement.TotalThreads(), best.placement.TotalThreads());
+  const RankedPlacement cheap = FindCheapestPlacement(predictor, 0.8);
+  EXPECT_GE(cheap.prediction.speedup, 0.8 * best.prediction.speedup - 1e-9);
+  EXPECT_LE(cheap.placement.TotalThreads(), best.placement.TotalThreads());
 }
 
 TEST(Optimizer, CheapestAtFullTargetIsStillFound) {
   const Predictor predictor(X3Desc(), SomeWorkload());
-  const std::optional<RankedPlacement> cheap = FindCheapestPlacement(predictor, 1.0);
-  ASSERT_TRUE(cheap.has_value());
+  const RankedPlacement best = FindBestPlacement(predictor);
+  const RankedPlacement cheap = FindCheapestPlacement(predictor, 1.0);
+  EXPECT_GE(cheap.prediction.speedup + 1e-12, best.prediction.speedup);
+  EXPECT_LE(cheap.placement.TotalThreads(), best.placement.TotalThreads());
 }
 
 TEST(Optimizer, PoorScalingWorkloadUsesFewThreads) {
   WorkloadDescription poor = SomeWorkload();
   poor.parallel_fraction = 0.05;
   const Predictor predictor(X3Desc(), poor);
-  const std::optional<RankedPlacement> cheap = FindCheapestPlacement(predictor, 0.95);
-  ASSERT_TRUE(cheap.has_value());
+  const RankedPlacement cheap = FindCheapestPlacement(predictor, 0.95);
   // Nearly serial workload: almost all performance from very few threads.
-  EXPECT_LE(cheap->placement.TotalThreads(), 4);
+  EXPECT_LE(cheap.placement.TotalThreads(), 4);
 }
 
 }  // namespace

@@ -20,6 +20,9 @@ endif()
 if(NOT predict_output MATCHES "optimizer\\.placements_evaluated")
   message(FATAL_ERROR "pandia_predict --metrics did not print optimizer.placements_evaluated:\n${predict_output}")
 endif()
+if(NOT predict_output MATCHES "optimizer\\.placements_pruned")
+  message(FATAL_ERROR "pandia_predict --metrics did not print optimizer.placements_pruned:\n${predict_output}")
+endif()
 
 execute_process(
   COMMAND ${CHECK} ${OUT} predict predict.iteration optimizer.rank pipeline.profile
