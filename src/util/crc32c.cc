@@ -5,30 +5,56 @@
 namespace pandia {
 namespace {
 
-// Byte-at-a-time table for the reflected Castagnoli polynomial.
-const std::array<uint32_t, 256>& Crc32cTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    constexpr uint32_t kPolynomial = 0x82F63B78u;  // reflected 0x1EDC6F41
-    std::array<uint32_t, 256> t{};
-    for (uint32_t byte = 0; byte < 256; ++byte) {
-      uint32_t crc = byte;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? kPolynomial : 0u);
-      }
-      t[byte] = crc;
+using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
+
+// Slicing-by-8 tables for the reflected Castagnoli polynomial: tables[0] is
+// the byte-at-a-time table, and tables[k][b] is the CRC contribution of byte
+// b followed by k zero bytes, so eight input bytes fold in with eight
+// independent lookups.
+constexpr Crc32cTables MakeCrc32cTables() {
+  constexpr uint32_t kPolynomial = 0x82F63B78u;  // reflected 0x1EDC6F41
+  Crc32cTables tables{};
+  for (uint32_t byte = 0; byte < 256; ++byte) {
+    uint32_t crc = byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? kPolynomial : 0u);
     }
-    return t;
-  }();
-  return table;
+    tables[0][byte] = crc;
+  }
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t byte = 0; byte < 256; ++byte) {
+      const uint32_t previous = tables[k - 1][byte];
+      tables[k][byte] = (previous >> 8) ^ tables[0][previous & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32cTables kTables = MakeCrc32cTables();
+
+// Little-endian load assembled from bytes, so the code path is the same on
+// every byte order (compilers fuse it into one load where they can).
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t ExtendCrc32c(uint32_t crc, std::string_view data) {
-  const std::array<uint32_t, 256>& table = Crc32cTable();
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   crc = ~crc;
-  for (const char c : data) {
-    crc = table[(crc ^ static_cast<uint8_t>(c)) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t low = crc ^ LoadLe32(p);
+    const uint32_t high = LoadLe32(p + 4);
+    crc = kTables[7][low & 0xFFu] ^ kTables[6][(low >> 8) & 0xFFu] ^
+          kTables[5][(low >> 16) & 0xFFu] ^ kTables[4][low >> 24] ^
+          kTables[3][high & 0xFFu] ^ kTables[2][(high >> 8) & 0xFFu] ^
+          kTables[1][(high >> 16) & 0xFFu] ^ kTables[0][high >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -239,6 +239,34 @@ TEST(Crc32c, ExtendComposesLikeOneShot) {
   }
 }
 
+// The table-driven CRC against the bitwise definition: every length from 0
+// to 4,096 bytes at every start offset 0-7, so each alignment and each tail
+// length of the eight-byte loop is covered. The bitwise CRC of each prefix
+// extends the previous one by a byte.
+TEST(Crc32c, MatchesTheBitwiseDefinition) {
+  constexpr size_t kMaxLength = 4096;
+  Rng rng(3720);
+  std::string bytes(kMaxLength + 8, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng.NextU64());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const std::string_view data(bytes.data() + offset, kMaxLength);
+    uint32_t bitwise = ~0u;
+    for (size_t length = 0;; ++length) {
+      ASSERT_EQ(Crc32c(data.substr(0, length)), ~bitwise)
+          << "offset " << offset << ", length " << length;
+      if (length == kMaxLength) {
+        break;
+      }
+      bitwise ^= static_cast<uint8_t>(data[length]);
+      for (int bit = 0; bit < 8; ++bit) {
+        bitwise = (bitwise >> 1) ^ ((bitwise & 1u) ? 0x82F63B78u : 0u);
+      }
+    }
+  }
+}
+
 // --- runtime lock-rank checker (on in every test binary: test_main.cc) ---
 
 TEST(LockRankRuntime, ConformingAscendingOrderPasses) {
