@@ -15,7 +15,8 @@
 //
 // Payloads are wire request lines, whose escaping already bans raw
 // newlines, so the framing is text-safe: the journal remains a grep-able
-// log while every record is independently verifiable.
+// log while every record is independently verifiable. The payload is
+// written by length, so it may hold any other byte, a NUL included.
 //
 // Recovery distinguishes two failure shapes:
 //

@@ -107,6 +107,25 @@ TEST(Journal, TornFinalRecordIsTruncatedAndAppendingContinues) {
   std::remove(path.c_str());
 }
 
+// EscapeValue leaves a NUL byte alone, so a wire value and with it a record
+// payload may hold one. The frame carries the payload by length, and the
+// record replays unchanged.
+TEST(Journal, PayloadWithNulByteRoundTrips) {
+  const std::string path = TempPath("journal_nul.wire");
+  const wire::Request record = Note(std::string("a\0b", 3));
+  {
+    Journal journal = MustOpen(path);
+    ASSERT_TRUE(journal.Append(record).ok());
+  }
+  StatusOr<Journal> replayed = Journal::Open(path, JournalOptions{});
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_FALSE(replayed->recovery().truncated_torn_tail);
+  ASSERT_EQ(replayed->recovery().records.size(), 1u);
+  EXPECT_EQ(replayed->recovery().records[0].request.verb, record.verb);
+  EXPECT_EQ(replayed->recovery().records[0].request.params, record.params);
+  std::remove(path.c_str());
+}
+
 TEST(Journal, CompleteButUnterminatedFinalRecordIsAlsoATear) {
   const std::string path = TempPath("journal_no_newline.wire");
   {
