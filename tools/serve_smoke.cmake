@@ -2,20 +2,40 @@
 # pandia_serve daemon on a two-machine simulated rack, feed it a request
 # script over stdin (valid STATUS/METRICS plus the telemetry verbs —
 # METRICS format=expo, TELEMETRY, RECORDER — a malformed verb, a DEPART for
-# a job that does not exist, then SHUTDOWN), and assert the daemon answers
-# every request with a structured response block and exits cleanly — bad
-# requests must never take the process down. A second run against the same
-# journal verifies restart replay keeps STATUS identical.
+# a job that does not exist, an ADMIT, then SHUTDOWN), and assert the daemon
+# answers every request with a structured response block and exits cleanly
+# — bad requests must never take the process down. A second run against the
+# same journal verifies restart replay gives the admitted job the same
+# STATUS row.
 #
-# ADMIT needs workload-description text embedded in the request, which a
-# cmake script cannot synthesize; the admission and kill-and-replay soak
-# paths are exercised by tests/serve_test.cc.
+# The ADMIT carries a pandia_profile description with a hand-edited comment
+# line appended, escaped here the way src/serialize/wire.h defines; the
+# journal keeps that text as received, and replay parses it back.
 #
-# Variables (passed via -D): SERVE, WORK.
+# Variables (passed via -D): SERVE, PROFILE, WORK.
 
 file(MAKE_DIRECTORY ${WORK})
-file(REMOVE ${WORK}/journal.wire)
-set(requests "STATUS\nMETRICS\nMETRICS format=expo\nTELEMETRY\nRECORDER\nFROBNICATE everything\nDEPART name=ghost\nnot a request line\nSTATUS\nSHUTDOWN\n")
+file(REMOVE ${WORK}/journal.wire ${WORK}/ep.workload)
+execute_process(
+  COMMAND ${PROFILE} x3-2 EP ${WORK}/ep.workload
+  RESULT_VARIABLE profile_result
+  OUTPUT_VARIABLE profile_output
+  ERROR_VARIABLE profile_stderr
+)
+if(NOT profile_result EQUAL 0)
+  message(FATAL_ERROR "pandia_profile failed (${profile_result}):\n${profile_output}\n${profile_stderr}")
+endif()
+file(APPEND ${WORK}/ep.workload "# hand-edited\n")
+file(READ ${WORK}/ep.workload description)
+# Wire escaping (EscapeValue): backslash first, then newline, CR, tab and
+# space, so no escape this adds is escaped again.
+string(REPLACE "\\" "\\\\" description "${description}")
+string(REPLACE "\n" "\\n" description "${description}")
+string(REPLACE "\r" "\\r" description "${description}")
+string(REPLACE "\t" "\\t" description "${description}")
+string(REPLACE " " "\\s" description "${description}")
+set(admit "ADMIT name=smoke threads=2 desc.x3-2=${description}")
+set(requests "STATUS\nMETRICS\nMETRICS format=expo\nTELEMETRY\nRECORDER\nFROBNICATE everything\nDEPART name=ghost\nnot a request line\n${admit}\nSTATUS\nSHUTDOWN\n")
 file(WRITE ${WORK}/requests.txt "${requests}")
 
 execute_process(
@@ -30,7 +50,7 @@ if(NOT serve_result EQUAL 0)
   message(FATAL_ERROR "pandia_serve failed (${serve_result}):\n${serve_output}\n${serve_stderr}")
 endif()
 foreach(needle "ok STATUS" "ok METRICS" "ok TELEMETRY" "ok RECORDER"
-        "machines = 2" "ok SHUTDOWN")
+        "machines = 2" "ok ADMIT" "ok SHUTDOWN")
   if(NOT serve_output MATCHES "${needle}")
     message(FATAL_ERROR "pandia_serve output is missing '${needle}':\n${serve_output}")
   endif()
@@ -60,7 +80,20 @@ if(NOT serve_output MATCHES "err not-found")
   message(FATAL_ERROR "DEPART of an unknown job did not produce err not-found:\n${serve_output}")
 endif()
 
-# Restart against the same (empty-mutation) journal: STATUS must be stable.
+string(REGEX MATCH "job = smoke[^\n]*" job_row "${serve_output}")
+if(job_row STREQUAL "")
+  message(FATAL_ERROR "STATUS after the ADMIT has no 'job = smoke' row:\n${serve_output}")
+endif()
+
+# The ADMITTED record holds the description as the request carried it,
+# hand-edited comment line included.
+file(READ ${WORK}/journal.wire journal_text)
+if(NOT journal_text MATCHES "ADMITTED name=smoke [^\n]*#\\\\shand-edited")
+  message(FATAL_ERROR "the ADMITTED record lacks the text as received:\n${journal_text}")
+endif()
+
+# Restart against the same journal: replaying the ADMITTED record must give
+# the job the same STATUS row.
 file(WRITE ${WORK}/status_only.txt "STATUS\nSHUTDOWN\n")
 execute_process(
   COMMAND ${SERVE} --machine node0=x3-2 --machine node1=x3-2
@@ -75,4 +108,8 @@ if(NOT replay_result EQUAL 0)
 endif()
 if(NOT replay_output MATCHES "machines = 2")
   message(FATAL_ERROR "restarted daemon STATUS is missing the rack:\n${replay_output}")
+endif()
+string(REGEX MATCH "job = smoke[^\n]*" replay_job_row "${replay_output}")
+if(NOT replay_job_row STREQUAL job_row)
+  message(FATAL_ERROR "restarted daemon STATUS row '${replay_job_row}' differs from '${job_row}':\n${replay_output}")
 endif()
