@@ -21,11 +21,6 @@ FlightRecorder::FlightRecorder(size_t capacity) : ring_(capacity) {
   PANDIA_CHECK_MSG(capacity >= 1, "flight recorder needs capacity >= 1");
 }
 
-FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* recorder = new FlightRecorder(256);
-  return *recorder;
-}
-
 void FlightRecorder::Record(std::string_view kind, std::string_view detail,
                             bool ok) {
   const int64_t now = NowNs();

@@ -42,9 +42,6 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Process-wide recorder (capacity 256).
-  static FlightRecorder& Global();
-
   // Appends one event, overwriting the oldest when full. Assigns seq and
   // timestamp; safe from any thread.
   void Record(std::string_view kind, std::string_view detail, bool ok = true)

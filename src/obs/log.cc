@@ -68,8 +68,6 @@ EventLog::EventLog() {
   start_ns_ = NowNs();
 }
 
-EventLog::~EventLog() { CloseFileSink(); }
-
 EventLog& EventLog::Global() {
   static EventLog* log = new EventLog;
   return *log;
@@ -124,10 +122,6 @@ void EventLog::Log(LogLevel level, std::string_view site,
   std::FILE* primary = stream_ != nullptr ? stream_ : stderr;
   std::fprintf(primary, "[%.6f] %s\n", elapsed_s, line.c_str());
   std::fflush(primary);
-  if (file_sink_ != nullptr) {
-    std::fprintf(file_sink_, "[%.6f] %s\n", elapsed_s, line.c_str());
-    std::fflush(file_sink_);
-  }
 }
 
 void EventLog::SetRateLimit(int burst, int64_t window_ns) {
@@ -135,28 +129,6 @@ void EventLog::SetRateLimit(int burst, int64_t window_ns) {
   burst_ = burst;
   window_ns_ = window_ns > 0 ? window_ns : 1;
   sites_.clear();
-}
-
-bool EventLog::OpenFileSink(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  util::MutexLock lock(mu_);
-  if (file_sink_ != nullptr) {
-    std::fclose(file_sink_);
-    file_sink_ = nullptr;
-  }
-  if (file == nullptr) {
-    return false;
-  }
-  file_sink_ = file;
-  return true;
-}
-
-void EventLog::CloseFileSink() {
-  util::MutexLock lock(mu_);
-  if (file_sink_ != nullptr) {
-    std::fclose(file_sink_);
-    file_sink_ = nullptr;
-  }
 }
 
 void EventLog::SetStream(std::FILE* stream) {

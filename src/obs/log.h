@@ -14,9 +14,9 @@
 //     `window`; further events in the window are dropped and accounted, and
 //     the first event of the next window reports `suppressed=N`. A hot
 //     error path can therefore log unconditionally without flooding.
-//   - Sinks: stderr by default; OpenFileSink() tees every event to a file.
-//     Sink writes happen under the log mutex — events from concurrent
-//     threads never interleave mid-line.
+//   - Sink: stderr by default; SetStream() redirects it. Sink writes
+//     happen under the log mutex — events from concurrent threads never
+//     interleave mid-line.
 //
 // Field values are escaped with the same backslash scheme as the wire
 // format (\\ \n \r \t and \s for space) so one event is always one line and
@@ -67,7 +67,6 @@ class EventLog {
   EventLog();
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
-  ~EventLog();
 
   // Process-wide log used by library instrumentation.
   static EventLog& Global();
@@ -94,12 +93,7 @@ class EventLog {
   // (defaults: 10 events per second). burst <= 0 disables limiting.
   void SetRateLimit(int burst, int64_t window_ns) PANDIA_EXCLUDES(mu_);
 
-  // Tees events to `path` (truncating) in addition to stderr. Returns false
-  // (and logs an error) when the file cannot be opened.
-  bool OpenFileSink(const std::string& path) PANDIA_EXCLUDES(mu_);
-  void CloseFileSink() PANDIA_EXCLUDES(mu_);
-
-  // Redirects the primary sink (tests). nullptr restores stderr.
+  // Redirects the sink (tests). nullptr restores stderr.
   void SetStream(std::FILE* stream) PANDIA_EXCLUDES(mu_);
 
   // Events dropped by the rate limiter since construction.
@@ -118,7 +112,6 @@ class EventLog {
   std::atomic<uint64_t> suppressed_{0};
   mutable util::Mutex mu_{"obs.log", util::kLockRankObsLog};
   std::FILE* stream_ PANDIA_GUARDED_BY(mu_) = nullptr;  // nullptr => stderr
-  std::FILE* file_sink_ PANDIA_GUARDED_BY(mu_) = nullptr;
   int burst_ PANDIA_GUARDED_BY(mu_) = 10;
   int64_t window_ns_ PANDIA_GUARDED_BY(mu_) = 1000000000;
   int64_t start_ns_ PANDIA_GUARDED_BY(mu_) = 0;
