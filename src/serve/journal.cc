@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -63,11 +62,6 @@ Status ErrnoStatus(const char* what, const std::string& path) {
   return Status::Unavailable(
       StrFormat("%s '%s': %s", what, path.c_str(), std::strerror(errno)));
 }
-
-// The scripted crash the soak harness arms via PANDIA_JOURNAL_CRASH_AT
-// (test-only; see journal.h). _Exit skips atexit/destructors — the whole
-// point is to die as abruptly as kill -9 would, mid-I/O.
-[[noreturn]] void CrashNow() { std::_Exit(137); }
 
 // Reads the whole file (binary). A journal comfortably fits in memory: the
 // service compacts it long before size becomes interesting.
@@ -193,6 +187,13 @@ std::string FormatFrame(uint64_t seq, std::string_view payload) {
   return line;
 }
 
+// True when a record payload is a SNAPSHOT request line.
+bool IsSnapshot(std::string_view payload) {
+  constexpr std::string_view kVerb = "SNAPSHOT";
+  return payload.substr(0, kVerb.size()) == kVerb &&
+         (payload.size() == kVerb.size() || payload[kVerb.size()] == ' ');
+}
+
 // True when a torn final line looks like the start of a framed SNAPSHOT
 // record — the one tear recovery must refuse (see journal.h).
 bool LooksLikeTornSnapshot(std::string_view line) {
@@ -242,25 +243,7 @@ StatusOr<SyncPolicy> SyncPolicyFromName(const std::string& name) {
 }
 
 Journal::Journal(std::string path, JournalOptions options)
-    : path_(std::move(path)), options_(options) {
-  // Test hook: PANDIA_JOURNAL_CRASH_AT = "append:N" (die mid-write of the
-  // Nth append after open) | "compact-tmp" (die after the tmp snapshot is
-  // durable, before the rename) | "compact-rename" (die right after the
-  // rename). Parsed per Journal so a soak child armed via its environment
-  // crashes exactly once, at a seeded point.
-  if (const char* spec = std::getenv("PANDIA_JOURNAL_CRASH_AT")) {
-    const std::string text(spec);
-    if (text.rfind("append:", 0) == 0) {
-      uint64_t n = 0;
-      if (ParseUint(std::string_view(text).substr(7), &n) && n > 0) {
-        crash_stage_ = "append";
-        crash_appends_left_ = static_cast<int>(n);
-      }
-    } else if (text == "compact-tmp" || text == "compact-rename") {
-      crash_stage_ = text;
-    }
-  }
-}
+    : path_(std::move(path)), options_(options) {}
 
 Journal::Journal(Journal&& other) noexcept
     : path_(std::move(other.path_)),
@@ -273,8 +256,8 @@ Journal::Journal(Journal&& other) noexcept
       size_bytes_(other.size_bytes_),
       records_since_sync_(other.records_since_sync_),
       dirty_(other.dirty_),
-      crash_appends_left_(other.crash_appends_left_),
-      crash_stage_(std::move(other.crash_stage_)) {}
+      fail_next_appends_(other.fail_next_appends_),
+      fail_after_appends_(other.fail_after_appends_) {}
 
 Journal& Journal::operator=(Journal&& other) noexcept {
   if (this != &other) {
@@ -289,8 +272,8 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     size_bytes_ = other.size_bytes_;
     records_since_sync_ = other.records_since_sync_;
     dirty_ = other.dirty_;
-    crash_appends_left_ = other.crash_appends_left_;
-    crash_stage_ = std::move(other.crash_stage_);
+    fail_next_appends_ = other.fail_next_appends_;
+    fail_after_appends_ = other.fail_after_appends_;
   }
   return *this;
 }
@@ -382,10 +365,12 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
         bool could_be_tear = false;
         Frame frame;
         bool good = ParseFrame(line, &frame, &reason, &could_be_tear);
-        if (good && journal.recovery_.records.empty()) {
-          // Sequence numbers continue across compaction, so a compacted
-          // journal legitimately starts above 1: the first record anchors
-          // the expected sequence for the rest of the walk.
+        if (good && journal.recovery_.records.empty() &&
+            IsSnapshot(frame.payload)) {
+          // Sequence numbers continue across compaction, so the snapshot a
+          // compaction wrote may start the file above 1 and anchors the rest
+          // of the walk. Any other first record must be record 1: a file
+          // that starts later has lost its leading records.
           expected_seq = frame.seq;
         }
         if (good && frame.seq != expected_seq) {
@@ -522,11 +507,11 @@ Status Journal::Append(const wire::Request& record) {
   const std::string line = FormatFrame(next_seq_, payload);
 
   bool inject_failure = false;
-  if (options_.fail_next_appends > 0) {
-    if (options_.fail_after_appends > 0) {
-      --options_.fail_after_appends;
+  if (fail_next_appends_ > 0) {
+    if (fail_after_appends_ > 0) {
+      --fail_after_appends_;
     } else {
-      --options_.fail_next_appends;
+      --fail_next_appends_;
       inject_failure = true;
     }
   }
@@ -540,15 +525,6 @@ Status Journal::Append(const wire::Request& record) {
     return Status::Unavailable(
         StrFormat("cannot append to journal '%s' (injected failure)",
                   path_.c_str()));
-  }
-
-  if (crash_stage_ == "append" && crash_appends_left_ > 0 &&
-      --crash_appends_left_ == 0) {
-    // Scripted torn write: flush half the record into the file, then die
-    // as abruptly as a power cut. Recovery must truncate exactly this.
-    std::fwrite(line.data(), 1, line.size() / 2, file_);
-    std::fflush(file_);
-    CrashNow();
   }
 
   const int64_t start_ns = NowNs();
@@ -606,19 +582,10 @@ Status Journal::Compact(const wire::Request& snapshot) {
     std::remove(tmp_path.c_str());
     return status;
   }
-  if (crash_stage_ == "compact-tmp") {
-    // The tmp snapshot is durable but the journal still points at the old
-    // file: recovery must find the complete old journal.
-    CrashNow();
-  }
   if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
     const Status status = ErrnoStatus("cannot rename compaction tmp over", path_);
     std::remove(tmp_path.c_str());
     return status;
-  }
-  if (crash_stage_ == "compact-rename") {
-    // The rename landed: recovery must find exactly the new snapshot.
-    CrashNow();
   }
   // Make the rename itself durable: fsync the containing directory (best
   // effort — some filesystems refuse directory fsync, and the rename is

@@ -8,7 +8,8 @@
 //   magic    = "pandia-journal v2"
 //   record   = seq SP crc SP len SP payload
 //   seq      = 1*DIGIT          ; starts at 1, +1 per record, survives
-//                               ; compaction (the snapshot keeps counting)
+//                               ; compaction (the snapshot keeps counting,
+//                               ; so only a leading SNAPSHOT starts above 1)
 //   crc      = 8HEXDIG          ; CRC32C of the payload bytes (lowercase)
 //   len      = 1*DIGIT          ; payload length in bytes
 //   payload  = wire-v1 request line (src/serialize/wire.h)
@@ -36,7 +37,8 @@
 //     landed), a CRC mismatch over a full-length payload (a tear only
 //     removes a suffix, it cannot alter bytes), or a wrong sequence
 //     number on a checksum-valid record (a writer bug, possibly on an
-//     acknowledged record).
+//     acknowledged record). A first record numbered above 1 that is not a
+//     SNAPSHOT is wrong too: the records before it are missing.
 //
 // One exception: a torn SNAPSHOT record is refused even at the tail.
 // Snapshots are only written via fsync-then-rename compaction, so a torn
@@ -68,12 +70,13 @@
 // already misbehaving) the journal refuses further appends until a retry
 // of the repair succeeds.
 //
-// Test hooks (never set in production): PANDIA_JOURNAL_CRASH_AT kills the
-// process at a scripted point mid-append or mid-compaction (see
-// journal.cc), and InjectAppendFailures makes the next N appends fail
-// after spilling half the record into the file — exercising exactly the
-// partial-write repair above — which is how the degraded-mode and soak
-// tests drive torn writes and disk faults deterministically.
+// Test hook (never used in production): InjectAppendFailures makes the
+// next N appends fail after spilling half the record into the file —
+// exercising exactly the partial-write repair above — which is how the
+// degraded-mode and crash-model tests drive disk faults deterministically.
+// Crashes need no hook: every acknowledged append is fflush()ed, so the
+// file's bytes at any instant are what a kill -9 then would leave, and
+// tests/service_crash_model_test.cc recovers from copies of them.
 #ifndef PANDIA_SRC_SERVE_JOURNAL_H_
 #define PANDIA_SRC_SERVE_JOURNAL_H_
 
@@ -101,13 +104,6 @@ struct JournalOptions {
   SyncPolicy sync = SyncPolicy::kInterval;
   // fsync cadence under SyncPolicy::kInterval (records per fsync).
   int sync_interval_records = 32;
-  // Test-only: fail the next `fail_next_appends` appends after letting
-  // `fail_after_appends` succeed first. An injected failure spills half
-  // the record into the file before failing, like a partial fwrite on a
-  // full disk, so it exercises the same tail repair a real failure takes
-  // (see PlacementService degraded mode).
-  int fail_next_appends = 0;
-  int fail_after_appends = 0;
 };
 
 // One recovered record with its 1-based line number in the file (line 1 is
@@ -168,10 +164,13 @@ class Journal {
   [[nodiscard]] Status Sync();
 
   // Test-only: fail the next `n` appends, after letting `after` appends
-  // succeed first (see JournalOptions).
+  // succeed first. An injected failure spills half the record into the
+  // file before failing, like a partial fwrite on a full disk, so it takes
+  // the same tail repair a real failure does (see PlacementService degraded
+  // mode). Replaces any failures still pending.
   void InjectAppendFailures(int n, int after = 0) {
-    options_.fail_next_appends = n;
-    options_.fail_after_appends = after;
+    fail_next_appends_ = n;
+    fail_after_appends_ = after;
   }
 
  private:
@@ -193,10 +192,10 @@ class Journal {
   // A failed append left bytes past the acknowledged tail and the repair
   // (RestoreTail) has not yet succeeded; appends retry it before writing.
   bool dirty_ = false;
-  // PANDIA_JOURNAL_CRASH_AT state: appends (and compaction stages) left
-  // before the scripted _Exit. Negative: hook disarmed.
-  int crash_appends_left_ = -1;
-  std::string crash_stage_;
+  // InjectAppendFailures state: appends still to fail, and appends to let
+  // through before the first of them.
+  int fail_next_appends_ = 0;
+  int fail_after_appends_ = 0;
 };
 
 }  // namespace serve

@@ -650,7 +650,15 @@ wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
       }
       if (Status status = MoveJob(entry.name, best_machine, *best, response.payload);
           !status.ok()) {
-        return wire::Response::Failure(status);
+        // The migrations before this one are durable and applied, so only a
+        // REBALANCE that moved nothing fails. Otherwise the reply stays ok
+        // and names the stop, as DEPART does for a skipped re-placement.
+        if (migrations == 0) {
+          return wire::Response::Failure(status);
+        }
+        response.payload.push_back(StrFormat("warning = rebalance stopped: %s",
+                                             status.message().c_str()));
+        break;  // `moved` stays false, which ends the rounds
       }
       ++migrations;
       moved = true;

@@ -84,8 +84,8 @@ struct ServiceOptions {
   // already exists it is recovered and replayed before serving (restart
   // recovery).
   std::string journal_path;
-  // Journal durability knobs: sync policy, fsync cadence, and the test-only
-  // injected-failure count (see src/serve/journal.h).
+  // Journal durability knobs: sync policy and fsync cadence (see
+  // src/serve/journal.h).
   JournalOptions journal;
   // Consecutive journal-append failures before the service stops trying
   // each mutation and enters read-only degraded mode.

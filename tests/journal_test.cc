@@ -205,6 +205,25 @@ TEST(Journal, BadLengthAndBadSequenceAreCorruption) {
   std::remove(path.c_str());
 }
 
+// Only the snapshot a compaction wrote may start the file above 1. A file
+// whose first record is any other record above 1 lost the records before
+// it, like a gap mid-file.
+TEST(Journal, LeadingRecordsMissingIsCorruption) {
+  const std::string path = TempPath("journal_leading_gap.wire");
+  const std::string note = wire::FormatRequest(Note("probe"));
+  ASSERT_TRUE(WriteTextFile(path, "pandia-journal v2\n" + Framed(5, note) +
+                                      Framed(6, note))
+                  .ok());
+  StatusOr<Journal> refused = Journal::Open(path, JournalOptions{});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(refused.status().message().find(
+                "journal line 2: sequence 5 where 1 was expected"),
+            std::string::npos)
+      << refused.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(Journal, TornSnapshotIsRefusedEvenAtTheTail) {
   const std::string path = TempPath("journal_torn_snapshot.wire");
   const std::string line = Framed(1, "SNAPSHOT mutation-seq=9");
@@ -233,7 +252,10 @@ TEST(Journal, CompactionRewritesToOneSnapshotAndKeepsSequencing) {
     ASSERT_TRUE(journal.Append(Note(StrFormat("r%d", i))).ok());
   }
   const uint64_t seq_before = journal.next_seq();
-  ASSERT_TRUE(journal.Compact(Note("snapshot-stand-in")).ok());
+  // A SNAPSHOT-verb stand-in: only a snapshot may lead the file above 1.
+  wire::Request snapshot = Note("snapshot-stand-in");
+  snapshot.verb = "SNAPSHOT";
+  ASSERT_TRUE(journal.Compact(snapshot).ok());
   EXPECT_EQ(journal.record_count(), 1u);
   EXPECT_EQ(journal.records_since_snapshot(), 0u);
   // The snapshot took seq_before; appends continue monotonically after it.
@@ -445,10 +467,10 @@ TEST(ServiceDegraded, PersistentAppendFailureEntersReadOnlyModeAndRecovers) {
   const std::string journal = TempPath("service_degraded.wire");
   ServiceOptions options;
   options.journal_path = journal;
+  PlacementService service = MustCreate(TwoNodeRack(), options);
   // Appends 1-5 fail, everything after succeeds. With the default threshold
   // of 3 consecutive failures the service degrades on the third admit.
-  options.journal.fail_next_appends = 5;
-  PlacementService service = MustCreate(TwoNodeRack(), options);
+  service.journal_for_test()->InjectAppendFailures(5);
 
   const std::string telemetry_before = service.HandleLine("TELEMETRY");
   for (int i = 0; i < 3; ++i) {
@@ -587,6 +609,35 @@ TEST(ServiceDegraded, FailedAppendLeavesNoTrace) {
   std::optional<PlacementService> replayed(MustCreate(TwoNodeRack(), options));
   EXPECT_EQ(replayed->HandleLine("STATUS"), status_after);
   EXPECT_EQ(replayed->HandleLine("TELEMETRY"), telemetry_after);
+  std::remove(journal.c_str());
+}
+
+// A REBALANCE whose later MOVED append fails keeps the migrations that
+// landed: the reply stays ok, lists them, and names the stop, and a restart
+// replays exactly them.
+TEST(ServiceDegraded, RebalanceKeepsLandedMigrationsWhenALaterAppendFails) {
+  const std::string journal = TempPath("service_rebalance_stop.wire");
+  ServiceOptions options;
+  options.journal_path = journal;
+  // Every re-placement clears a negative margin, so each round moves a job.
+  options.replace_margin = -1.0;
+  std::optional<PlacementService> service(MustCreate(TwoNodeRack(), options));
+  ASSERT_TRUE(IsOkBlock(service->HandleLine(AdmitLine("a", "Swim", 8))));
+  ASSERT_TRUE(IsOkBlock(service->HandleLine(AdmitLine("b", "EP", 8))));
+  service->journal_for_test()->InjectAppendFailures(1, /*after=*/1);
+  const std::string rebalanced = service->HandleLine("REBALANCE max-migrations=2");
+  ASSERT_TRUE(IsOkBlock(rebalanced)) << rebalanced;
+  EXPECT_NE(rebalanced.find("migrations = 1\n"), std::string::npos) << rebalanced;
+  EXPECT_NE(rebalanced.find("moved = "), std::string::npos) << rebalanced;
+  EXPECT_NE(rebalanced.find("warning = rebalance stopped: "), std::string::npos)
+      << rebalanced;
+  const std::string status = service->HandleLine("STATUS");
+  const std::string telemetry = service->HandleLine("TELEMETRY");
+  EXPECT_NE(telemetry.find("moves=1"), std::string::npos) << telemetry;
+  service.reset();
+  std::optional<PlacementService> replayed(MustCreate(TwoNodeRack(), options));
+  EXPECT_EQ(replayed->HandleLine("STATUS"), status);
+  EXPECT_EQ(replayed->HandleLine("TELEMETRY"), telemetry);
   std::remove(journal.c_str());
 }
 
