@@ -10,9 +10,11 @@
 //   - the raw text of DESIGN.md, when present, as the documented protocol
 //     and metric inventory.
 // Then the rules run over the facts:
-//     wire-verb-drift   a verb declared but not dispatched by both services,
-//                       dispatched but undeclared, or undocumented in
-//                       DESIGN.md.
+//     wire-verb-drift   a wire verb the front door (serve/fleet_service.cc)
+//                       does not dispatch, a journal record verb the shard
+//                       (serve/service.cc) does not replay, a verb either
+//                       compares against but nobody declared, or a verb
+//                       undocumented in DESIGN.md.
 //     metric-drift      one metric name under two instrument types, or
 //                       registered but missing from DESIGN.md's inventory.
 //

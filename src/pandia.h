@@ -71,7 +71,6 @@
 
 #include "src/serve/client.h"
 #include "src/serve/fleet_service.h"
-#include "src/serve/handler.h"
 #include "src/serve/journal.h"
 #include "src/serve/service.h"
 #include "src/serve/socket.h"

@@ -57,11 +57,11 @@ namespace wire {
 inline constexpr int kProtocolVersion = 1;
 
 // The canonical verb inventory — the single source of truth that
-// pandia_lint's cross-file rule `wire-verb-drift` checks against both
-// dispatchers (serve/service.cc, serve/fleet_service.cc) and against the
-// documented protocol in DESIGN.md. Adding a verb means adding it here,
-// dispatching it in both services, and documenting it, or the linter fails
-// CI. Sorted; uppercase per the VERB grammar above.
+// pandia_lint's cross-file rule `wire-verb-drift` checks against the
+// daemon's front door (serve/fleet_service.cc) and against the documented
+// protocol in DESIGN.md. Adding a verb means adding it here, dispatching it
+// in the front door, and documenting it, or the linter fails CI. Sorted;
+// uppercase per the VERB grammar above.
 inline constexpr std::string_view kVerbs[] = {
     "ADMIT",    "COMPACT",  "DEPART",   "HELLO",    "METRICS",
     "RECORDER", "REBALANCE", "SHUTDOWN", "STATUS",   "TELEMETRY",
@@ -69,7 +69,7 @@ inline constexpr std::string_view kVerbs[] = {
 
 // Journal-record verbs: the request grammar reused for mutation-journal
 // payloads (see src/serve/journal.h). Replayed by PlacementService only —
-// never dispatched by the fleet, never sent by clients. JOB is the
+// never dispatched by the front door, never sent by clients. JOB is the
 // sub-record a SNAPSHOT embeds, one per resident job.
 inline constexpr std::string_view kJournalRecordVerbs[] = {
     "ADMITTED", "DEPARTED", "JOB", "MOVED", "NOTE", "SNAPSHOT",

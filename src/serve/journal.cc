@@ -416,6 +416,16 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
                 "to recover (compaction atomicity was violated)",
                 line_number));
           }
+          const std::string_view seq_digits = line.substr(0, line.find(' '));
+          if (journal.recovery_.records.empty() && seq_digits != "1") {
+            // Only a snapshot may start the file above 1, so this is a
+            // snapshot torn before its verb landed: refused like any other
+            // torn snapshot.
+            return Status::DataLoss(StrFormat(
+                "journal line %zu: torn first record is numbered '%s', which "
+                "only a snapshot may be; refusing to recover",
+                line_number, std::string(seq_digits).c_str()));
+          }
           journal.recovery_.truncated_torn_tail = true;
           journal.recovery_.truncated_bytes = text.size() - pos;
           keep_bytes = pos;

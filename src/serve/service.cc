@@ -1,9 +1,7 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -17,52 +15,11 @@ namespace pandia {
 namespace serve {
 namespace {
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Per-verb request instruments. One static table keyed by verb keeps metric
-// cardinality bounded: every verb the service speaks gets its own counters
-// and latency histogram, and anything else (unknown verbs, garbage) shares
-// the "other" slot.
-struct VerbInstruments {
-  obs::Counter* requests;
-  obs::Counter* errors;
-  obs::Histogram* latency_us;
-};
-
-const VerbInstruments& InstrumentsFor(const std::string& verb) {
-  static const std::map<std::string, VerbInstruments>* table = [] {
-    auto* map = new std::map<std::string, VerbInstruments>;
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    for (const auto& [verb_key, stem] :
-         std::initializer_list<std::pair<const char*, const char*>>{
-             {"HELLO", "hello"},
-             {"ADMIT", "admit"},
-             {"DEPART", "depart"},
-             {"REBALANCE", "rebalance"},
-             {"COMPACT", "compact"},
-             {"STATUS", "status"},
-             {"METRICS", "metrics"},
-             {"TELEMETRY", "telemetry"},
-             {"RECORDER", "recorder"},
-             {"SHUTDOWN", "shutdown"},
-             {"", "other"}}) {
-      const std::string prefix = std::string("serve.") + stem;
-      map->emplace(verb_key,
-                   VerbInstruments{
-                       &registry.counter(prefix + ".requests"),
-                       &registry.counter(prefix + ".errors"),
-                       &registry.histogram(prefix + ".latency_us",
-                                           obs::ExponentialBounds(1, 2, 20))});
-    }
-    return map;
-  }();
-  const auto it = table->find(verb);
-  return it != table->end() ? it->second : table->at("");
-}
+// Automatic compaction's live-ratio trigger (see
+// ServiceOptions::compact_min_records).
+constexpr double kCompactLiveRatio = 0.5;
+// REBALANCE's migration budget when the request sets none.
+constexpr int kDefaultMaxMigrations = 4;
 
 obs::Gauge& DegradedGauge() {
   static obs::Gauge& gauge =
@@ -72,20 +29,6 @@ obs::Gauge& DegradedGauge() {
 obs::Gauge& LiveRatioGauge() {
   static obs::Gauge& gauge =
       obs::MetricsRegistry::Global().gauge("serve.journal.live_ratio");
-  return gauge;
-}
-obs::Counter& ParseErrors() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().counter("serve.parse_errors");
-  return counter;
-}
-obs::Gauge& JobsGauge() {
-  static obs::Gauge& gauge = obs::MetricsRegistry::Global().gauge("serve.jobs");
-  return gauge;
-}
-obs::Gauge& FreeThreadsGauge() {
-  static obs::Gauge& gauge =
-      obs::MetricsRegistry::Global().gauge("serve.free_threads");
   return gauge;
 }
 
@@ -161,9 +104,6 @@ StatusOr<PlacementService> PlacementService::Create(
   PlacementService service(std::move(machines), std::move(options));
   const std::string& path = service.options_.journal_path;
   if (!path.empty()) {
-    // The service is not shared yet, but replay touches guarded state, so
-    // take the (uncontended) lock for the analysis.
-    util::MutexLock lock(service.mu_);
     StatusOr<Journal> journal = Journal::Open(path, service.options_.journal);
     if (!journal.ok()) {
       return journal.status();
@@ -208,37 +148,9 @@ PlacementService::PlacementService(std::vector<rack::RackMachine> machines,
       rack_(std::move(machines), options_.prediction),
       recorder_(std::make_unique<obs::FlightRecorder>(256)) {}
 
-PlacementService::PlacementService(PlacementService&& other) noexcept
-    : options_(std::move(other.options_)),
-      rack_(std::move(other.rack_)),
-      journal_(std::move(other.journal_)),
-      shutdown_(other.shutdown_),
-      degraded_(other.degraded_),
-      journal_failures_(other.journal_failures_),
-      recorder_(std::move(other.recorder_)) {}
-
-PlacementService& PlacementService::operator=(PlacementService&& other) noexcept {
-  if (this != &other) {
-    options_ = std::move(other.options_);
-    rack_ = std::move(other.rack_);
-    journal_ = std::move(other.journal_);
-    shutdown_ = other.shutdown_;
-    degraded_ = other.degraded_;
-    journal_failures_ = other.journal_failures_;
-    recorder_ = std::move(other.recorder_);
-  }
-  return *this;
-}
-
-PlacementService::~PlacementService() = default;
-
 std::string PlacementService::HandleLine(const std::string& line) {
   StatusOr<wire::Request> request = wire::ParseRequest(line);
   if (!request.ok()) {
-    ParseErrors().Increment();
-    obs::EventLog::Global().Log(
-        obs::LogLevel::kWarn, "serve.parse", "unparseable request line",
-        {{"error", request.status().message()}});
     recorder_->Record("request", "PARSE", /*ok=*/false);
     return wire::FormatResponse(wire::Response::Failure(request.status()));
   }
@@ -246,51 +158,24 @@ std::string PlacementService::HandleLine(const std::string& line) {
 }
 
 wire::Response PlacementService::Handle(const wire::Request& request) {
-  const int64_t start_ns = NowNs();
-  wire::Response response;
-  {
-    util::MutexLock lock(mu_);
-    response = Dispatch(request);
-    JobsGauge().Set(rack_.JobCount());
-    int free = 0;
-    for (size_t m = 0; m < rack_.machines().size(); ++m) {
-      free += rack_.FreeThreadCount(static_cast<int>(m));
-    }
-    FreeThreadsGauge().Set(free);
-    if (journal_ != nullptr) {
-      LiveRatioGauge().Set(LiveRatio());
-    }
+  wire::Response response = Dispatch(request);
+  if (journal_ != nullptr) {
+    LiveRatioGauge().Set(LiveRatio());
   }
-  const double latency_us =
-      static_cast<double>(NowNs() - start_ns) / 1000.0;
-  const VerbInstruments& instruments = InstrumentsFor(request.verb);
-  instruments.requests->Increment();
-  instruments.latency_us->Observe(latency_us);
+  RecordRequest(request, response);
+  return response;
+}
+
+void PlacementService::RecordRequest(const wire::Request& request,
+                                     const wire::Response& response) {
   std::string detail = request.verb;
   if (const std::string* name = request.Find("name")) {
     detail += " name=" + wire::EscapeValue(*name);
   }
   if (!response.ok) {
-    instruments.errors->Increment();
-    obs::EventLog::Global().Log(
-        obs::LogLevel::kWarn, "serve.request", "request failed",
-        {{"verb", request.verb},
-         {"code", wire::WireCodeName(response.code)},
-         {"error", response.error}});
     detail += " " + wire::WireCodeName(response.code);
   }
   recorder_->Record("request", detail, response.ok);
-  return response;
-}
-
-bool PlacementService::shutdown_requested() const {
-  util::MutexLock lock(mu_);
-  return shutdown_;
-}
-
-bool PlacementService::degraded() const {
-  util::MutexLock lock(mu_);
-  return degraded_;
 }
 
 wire::Response PlacementService::Dispatch(const wire::Request& request) {
@@ -308,7 +193,7 @@ wire::Response PlacementService::Dispatch(const wire::Request& request) {
   if (response.ok && IsMutatingVerb(request.verb) && request.verb != "COMPACT" &&
       journal_ != nullptr && !degraded_ &&
       journal_->records_since_snapshot() >= options_.compact_min_records &&
-      LiveRatio() < options_.compact_live_ratio) {
+      LiveRatio() < kCompactLiveRatio) {
     // The request already succeeded and its record is durable in the old
     // journal; a failed compaction is logged (inside CompactJournal) but
     // must not fail the request.
@@ -318,9 +203,6 @@ wire::Response PlacementService::Dispatch(const wire::Request& request) {
 }
 
 wire::Response PlacementService::DispatchVerb(const wire::Request& request) {
-  if (request.verb == "HELLO") {
-    return HandleHello(request);
-  }
   if (request.verb == "ADMIT") {
     return HandleAdmit(request);
   }
@@ -336,9 +218,6 @@ wire::Response PlacementService::DispatchVerb(const wire::Request& request) {
   if (request.verb == "STATUS") {
     return HandleStatus();
   }
-  if (request.verb == "METRICS") {
-    return HandleMetrics(request);
-  }
   if (request.verb == "TELEMETRY") {
     if (!request.params.empty()) {
       return wire::Response::Failure(Status::InvalidArgument(
@@ -351,7 +230,6 @@ wire::Response PlacementService::DispatchVerb(const wire::Request& request) {
     return HandleRecorder(request);
   }
   if (request.verb == "SHUTDOWN") {
-    shutdown_ = true;
     if (journal_ != nullptr && !degraded_) {
       // Best-effort durability floor for a clean shutdown: whatever the
       // sync policy deferred goes to disk now.
@@ -363,25 +241,6 @@ wire::Response PlacementService::DispatchVerb(const wire::Request& request) {
       StrFormat("unknown verb '%s' (want HELLO, ADMIT, DEPART, REBALANCE, "
                 "COMPACT, STATUS, METRICS, TELEMETRY, RECORDER, or SHUTDOWN)",
                 request.verb.c_str())));
-}
-
-wire::Response PlacementService::HandleHello(const wire::Request& request) const {
-  // Strict like TELEMETRY: the handshake takes no parameters, so future
-  // parameterized hellos can be detected by old servers as errors instead
-  // of being silently half-understood.
-  if (!request.params.empty()) {
-    return wire::Response::Failure(Status::InvalidArgument(
-        StrFormat("HELLO does not take parameter '%s'",
-                  request.params.front().first.c_str())));
-  }
-  wire::Response response = wire::Response::Success("HELLO");
-  response.payload.push_back(
-      StrFormat("protocol = %d", wire::kProtocolVersion));
-  // Capabilities are sorted, comma-separated tokens; the list names
-  // post-v1 extensions this server speaks (the fleet layer appends its
-  // own). Kept static per service type so handshakes are deterministic.
-  response.payload.push_back("capabilities = compact,recorder,telemetry");
-  return response;
 }
 
 wire::Response PlacementService::HandleAdmit(const wire::Request& request) {
@@ -566,7 +425,7 @@ wire::Response PlacementService::HandleDepart(const wire::Request& request) {
 }
 
 wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
-  int max_migrations = options_.default_max_migrations;
+  int max_migrations = kDefaultMaxMigrations;
   for (const auto& [key, value] : request.params) {
     if (key == "max-migrations") {
       StatusOr<int> parsed = ParseInt(value, "max-migrations");
@@ -715,71 +574,6 @@ wire::Response PlacementService::HandleStatus() const {
             [](const JobRow& a, const JobRow& b) { return a.name < b.name; });
   for (JobRow& row : rows) {
     response.payload.push_back(std::move(row.line));
-  }
-  return response;
-}
-
-wire::Response PlacementService::HandleMetrics(const wire::Request& request) const {
-  bool expo = false;
-  for (const auto& [key, value] : request.params) {
-    if (key != "format") {
-      return wire::Response::Failure(Status::InvalidArgument(
-          StrFormat("METRICS does not take parameter '%s'", key.c_str())));
-    }
-    if (value == "expo") {
-      expo = true;
-    } else if (value != "table") {
-      return wire::Response::Failure(Status::InvalidArgument(StrFormat(
-          "unknown METRICS format '%s' (want table or expo)", value.c_str())));
-    }
-  }
-  const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  wire::Response response = wire::Response::Success("METRICS");
-  if (expo) {
-    // Line-oriented exposition format (grammar in DESIGN.md): one
-    // "<metric> <value>" sample per line, histogram buckets as
-    // name{le=BOUND} with cumulative counts, plus name.count / name.sum.
-    for (const auto& counter : snapshot.counters) {
-      response.payload.push_back(
-          StrFormat("%s %llu", counter.name.c_str(),
-                    static_cast<unsigned long long>(counter.value)));
-    }
-    for (const auto& gauge : snapshot.gauges) {
-      response.payload.push_back(
-          StrFormat("%s %.6f", gauge.name.c_str(), gauge.value));
-    }
-    for (const auto& histogram : snapshot.histograms) {
-      uint64_t cumulative = 0;
-      for (size_t i = 0; i < histogram.buckets.size(); ++i) {
-        cumulative += histogram.buckets[i];
-        const std::string le =
-            i < histogram.bounds.size() ? StrFormat("%.6g", histogram.bounds[i])
-                                        : std::string("+inf");
-        response.payload.push_back(
-            StrFormat("%s{le=%s} %llu", histogram.name.c_str(), le.c_str(),
-                      static_cast<unsigned long long>(cumulative)));
-      }
-      response.payload.push_back(
-          StrFormat("%s.count %llu", histogram.name.c_str(),
-                    static_cast<unsigned long long>(histogram.count)));
-      response.payload.push_back(
-          StrFormat("%s.sum %.6f", histogram.name.c_str(), histogram.sum));
-    }
-    return response;
-  }
-  for (const auto& counter : snapshot.counters) {
-    response.payload.push_back(
-        StrFormat("counter %s = %llu", counter.name.c_str(),
-                  static_cast<unsigned long long>(counter.value)));
-  }
-  for (const auto& gauge : snapshot.gauges) {
-    response.payload.push_back(
-        StrFormat("gauge %s = %.6f", gauge.name.c_str(), gauge.value));
-  }
-  for (const auto& histogram : snapshot.histograms) {
-    response.payload.push_back(StrFormat(
-        "histogram %s count=%llu sum=%.6f", histogram.name.c_str(),
-        static_cast<unsigned long long>(histogram.count), histogram.sum));
   }
   return response;
 }

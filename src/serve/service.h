@@ -1,10 +1,8 @@
-// The placement service — Pandia as a long-running daemon.
+// One placement shard — a rack served as Pandia's online §8 scheduler.
 //
-// PlacementService holds a rack::Rack as mutable online state and processes
-// the wire-v1 request protocol (src/serialize/wire.h):
+// PlacementService holds a rack::Rack as mutable online state and serves
+// the wire-v1 verbs that read or change it (src/serialize/wire.h):
 //
-//   HELLO      handshake: protocol version + capability list, so clients
-//              negotiate before speaking (serve::Client sends it on connect)
 //   ADMIT      place a new job co-scheduled against the running jobs
 //   DEPART     free a job; opportunistically re-place degraded neighbours
 //   REBALANCE  bounded-migration global re-placement
@@ -12,18 +10,17 @@
 //              when the live-record ratio drops; see ServiceOptions)
 //   STATUS     deterministic state dump (per-job predicted speedup/slowdown,
 //              bottleneck resource, placements)
-//   METRICS    obs registry dump (format=expo selects the line-oriented
-//              machine-readable exposition format)
 //   TELEMETRY  per-job rack telemetry: predicted slowdown at admit, current
 //              prediction, re-placements, co-runner event deltas
 //   RECORDER   flight-recorder dump: the most recent requests and journal
 //              appends with timestamps and outcomes
-//   SHUTDOWN   acknowledge and stop the serving loop
+//   SHUTDOWN   sync the journal before the daemon stops
 //
-// Telemetry: every request is counted and timed (serve.<verb>.latency_us
-// histograms), journal appends are timed and sized, error paths log
-// through obs::EventLog, and a per-service obs::FlightRecorder retains the
-// recent request/journal history for the RECORDER verb.
+// The daemon reaches its shards through one front door, FleetService
+// (src/serve/fleet_service.h), which owns everything about a request that
+// is not one rack's: parsing, HELLO, METRICS, the shutdown flag, per-verb
+// instruments and the failure log. A shard records every request it serves
+// in its own obs::FlightRecorder, and times and sizes its journal appends.
 //
 // Every mutation is journaled through the durable checksummed Journal
 // (src/serve/journal.h: per-record CRC32C framing, configurable fsync
@@ -37,22 +34,15 @@
 //
 // When journal appends fail persistently (a full or faulted disk), the
 // service degrades to read-only instead of failing every mutation's append
-// forever: mutating verbs return `err unavailable` while STATUS / METRICS /
+// forever: mutating verbs return `err unavailable` while STATUS /
 // TELEMETRY / RECORDER keep serving, the `serve.degraded` gauge goes to 1,
 // and each rejected mutation first probes the journal with a NOTE record so
 // service recovers automatically the moment the disk does.
 //
-// The service itself is transport-agnostic: HandleLine() maps one request
-// line to one response block. src/serve/socket.h supplies the stdin/stdout
-// and Unix-domain-socket event loop the daemon binary runs.
-//
-// Thread safety: the service owns a mutex serializing every request against
-// its mutable state (the rack, the journal stream, the shutdown flag), so
-// Handle/HandleLine may be called concurrently from any number of transport
-// threads. The contract is annotated for Clang thread-safety analysis; the
-// rack::Rack itself is externally synchronized (it fans read-only probes
-// out over worker threads inside one mutation, so an internal lock would be
-// the wrong shape) and PANDIA_GUARDED_BY ties it to the service mutex.
+// Thread safety: none of its own. A shard is externally synchronized: the
+// front door serializes every request under its mutex, and in-process
+// callers (tests, benchmarks) call it from one thread. The rack fans
+// read-only probes out over worker threads inside one request.
 #ifndef PANDIA_SRC_SERVE_SERVICE_H_
 #define PANDIA_SRC_SERVE_SERVICE_H_
 
@@ -63,11 +53,8 @@
 #include "src/obs/flight_recorder.h"
 #include "src/rack/rack.h"
 #include "src/serialize/wire.h"
-#include "src/serve/handler.h"
 #include "src/serve/journal.h"
-#include "src/util/mutex.h"
 #include "src/util/status.h"
-#include "src/util/thread_annotations.h"
 
 namespace pandia {
 namespace serve {
@@ -92,20 +79,17 @@ struct ServiceOptions {
   int degraded_failure_threshold = 3;
   // Automatic compaction fires once at least compact_min_records records
   // accumulated since the last snapshot AND resident jobs per
-  // post-snapshot record (the live ratio) fell below compact_live_ratio —
-  // i.e. most of the journal suffix is departed/moved history that a
-  // snapshot would fold away.
+  // post-snapshot record (the live ratio) fell below one half — i.e. most
+  // of the journal suffix is departed/moved history that a snapshot would
+  // fold away.
   uint64_t compact_min_records = 1024;
-  double compact_live_ratio = 0.5;
   // DEPART re-places a remaining neighbour when its best re-placement on
   // its machine improves its predicted speedup by more than this relative
   // margin; REBALANCE uses the same margin for cross-machine moves.
   double replace_margin = 0.02;
-  // REBALANCE migration budget when the request does not set one.
-  int default_max_migrations = 4;
 };
 
-class PlacementService : public RequestHandler {
+class PlacementService {
  public:
   // Builds the service; replays options.journal_path if the file exists,
   // then reopens it for appending. Fails (instead of aborting) on an
@@ -113,50 +97,37 @@ class PlacementService : public RequestHandler {
   static StatusOr<PlacementService> Create(std::vector<rack::RackMachine> machines,
                                            ServiceOptions options);
 
-  // Moves take the dying object's guarded state without locking: both
-  // objects must be externally quiescent during a move (standard move
-  // contract), which the analysis cannot express.
-  PlacementService(PlacementService&& other) noexcept
-      PANDIA_NO_THREAD_SAFETY_ANALYSIS;
-  PlacementService& operator=(PlacementService&& other) noexcept
-      PANDIA_NO_THREAD_SAFETY_ANALYSIS;
+  PlacementService(PlacementService&&) noexcept = default;
+  PlacementService& operator=(PlacementService&&) noexcept = default;
   PlacementService(const PlacementService&) = delete;
   PlacementService& operator=(const PlacementService&) = delete;
-  ~PlacementService() PANDIA_NO_THREAD_SAFETY_ANALYSIS;
 
   // Processes one request line end to end: parse, dispatch, journal any
   // mutation, serialize. The returned text is the complete response block
-  // (newline-terminated lines ending with ".\n"). Never aborts. Safe to
-  // call concurrently; requests are serialized on the service mutex.
-  [[nodiscard]] std::string HandleLine(const std::string& line)
-      PANDIA_EXCLUDES(mu_) override;
+  // (newline-terminated lines ending with ".\n"). Never aborts.
+  [[nodiscard]] std::string HandleLine(const std::string& line);
 
-  // Structured form of HandleLine for in-process callers.
-  [[nodiscard]] wire::Response Handle(const wire::Request& request)
-      PANDIA_EXCLUDES(mu_);
+  // Structured form of HandleLine: serves one of the shard's verbs and
+  // records the request in the flight recorder. Any other verb, HELLO and
+  // METRICS included (the front door answers those), gets the unknown-verb
+  // error.
+  [[nodiscard]] wire::Response Handle(const wire::Request& request);
 
-  // True once a SHUTDOWN request was acknowledged; serving loops exit.
-  bool shutdown_requested() const PANDIA_EXCLUDES(mu_) override;
+  // Records a request the front door answered for this shard (HELLO,
+  // METRICS) in the flight recorder, as Handle records the ones it serves.
+  void RecordRequest(const wire::Request& request, const wire::Response& response);
 
-  // Quiescent inspection only (tests, post-loop reporting): the caller must
-  // guarantee no concurrent Handle/HandleLine while the reference is used,
-  // which is why this opts out of the thread-safety analysis.
-  const rack::Rack& rack() const PANDIA_NO_THREAD_SAFETY_ANALYSIS {
-    return rack_;
-  }
+  const rack::Rack& rack() const { return rack_; }
 
   // The service's flight recorder (internally synchronized; RECORDER serves
   // from it, tests inspect it directly).
   const obs::FlightRecorder& recorder() const { return *recorder_; }
 
-  // Quiescent inspection of the journal (tests; may be null when journaling
-  // is disabled). Same external-quiescence contract as rack().
-  Journal* journal_for_test() PANDIA_NO_THREAD_SAFETY_ANALYSIS {
-    return journal_.get();
-  }
+  // The journal, for tests (null when journaling is disabled).
+  Journal* journal_for_test() { return journal_.get(); }
 
   // True while the service is in read-only degraded mode.
-  bool degraded() const PANDIA_EXCLUDES(mu_);
+  bool degraded() const { return degraded_; }
 
  private:
   PlacementService(std::vector<rack::RackMachine> machines, ServiceOptions options);
@@ -164,68 +135,55 @@ class PlacementService : public RequestHandler {
   // Dispatch wraps DispatchVerb with the journal gates: the degraded-mode
   // probe before a mutation, the automatic-compaction check after a
   // successful one.
-  wire::Response Dispatch(const wire::Request& request) PANDIA_REQUIRES(mu_);
-  wire::Response DispatchVerb(const wire::Request& request)
-      PANDIA_REQUIRES(mu_);
-  wire::Response HandleAdmit(const wire::Request& request) PANDIA_REQUIRES(mu_);
-  wire::Response HandleDepart(const wire::Request& request) PANDIA_REQUIRES(mu_);
-  wire::Response HandleRebalance(const wire::Request& request)
-      PANDIA_REQUIRES(mu_);
-  wire::Response HandleCompact(const wire::Request& request)
-      PANDIA_REQUIRES(mu_);
-  wire::Response HandleHello(const wire::Request& request) const
-      PANDIA_REQUIRES(mu_);
-  wire::Response HandleStatus() const PANDIA_REQUIRES(mu_);
-  wire::Response HandleMetrics(const wire::Request& request) const
-      PANDIA_REQUIRES(mu_);
-  wire::Response HandleTelemetry() const PANDIA_REQUIRES(mu_);
-  wire::Response HandleRecorder(const wire::Request& request) const
-      PANDIA_REQUIRES(mu_);
+  wire::Response Dispatch(const wire::Request& request);
+  wire::Response DispatchVerb(const wire::Request& request);
+  wire::Response HandleAdmit(const wire::Request& request);
+  wire::Response HandleDepart(const wire::Request& request);
+  wire::Response HandleRebalance(const wire::Request& request);
+  wire::Response HandleCompact(const wire::Request& request);
+  wire::Response HandleStatus() const;
+  wire::Response HandleTelemetry() const;
+  wire::Response HandleRecorder(const wire::Request& request) const;
 
   // Re-places machine residents whose best re-placement beats the margin,
   // one MoveJob each.
-  Status ReplaceDegraded(int machine_index, std::vector<std::string>& payload)
-      PANDIA_REQUIRES(mu_);
+  Status ReplaceDegraded(int machine_index, std::vector<std::string>& payload);
   // Journals a MOVED record, then moves `name` to the candidate's placement
   // on `machine_index` and appends the `moved =` payload row. A failed
   // append moves nothing.
   Status MoveJob(const std::string& name, int machine_index,
                  const rack::Rack::Candidate& candidate,
-                 std::vector<std::string>& payload) PANDIA_REQUIRES(mu_);
+                 std::vector<std::string>& payload);
 
   // Applies one recovered journal record (ADMITTED / DEPARTED / MOVED) to
   // the rack; `line` names the journal line in error messages.
-  Status ApplyRecord(const wire::Request& record, size_t line)
-      PANDIA_REQUIRES(mu_);
+  Status ApplyRecord(const wire::Request& record, size_t line);
   // Serializes the rack's SavedState as one SNAPSHOT record / restores it.
-  wire::Request BuildSnapshot() const PANDIA_REQUIRES(mu_);
-  Status RestoreSnapshot(const wire::Request& record, size_t line)
-      PANDIA_REQUIRES(mu_);
+  wire::Request BuildSnapshot() const;
+  Status RestoreSnapshot(const wire::Request& record, size_t line);
 
   // Appends through the Journal with degraded-mode accounting: consecutive
   // failures past the threshold enter degraded mode, any success leaves it.
-  Status AppendJournal(const wire::Request& record) PANDIA_REQUIRES(mu_);
+  Status AppendJournal(const wire::Request& record);
   // Degraded-mode gate for mutating verbs: appends a NOTE probe record
   // (replay skips NOTEs); true restores normal service.
-  bool ProbeJournal() PANDIA_REQUIRES(mu_);
+  bool ProbeJournal();
   // Snapshots the rack into the journal (the COMPACT verb and the
   // automatic trigger both funnel through here).
-  Status CompactJournal() PANDIA_REQUIRES(mu_);
+  Status CompactJournal();
   // Resident jobs per post-snapshot journal record, in [0, 1].
-  double LiveRatio() const PANDIA_REQUIRES(mu_);
-  void NoteJournalFailure() PANDIA_REQUIRES(mu_);
-  void NoteJournalSuccess() PANDIA_REQUIRES(mu_);
+  double LiveRatio() const;
+  void NoteJournalFailure();
+  void NoteJournalSuccess();
 
   ServiceOptions options_;  // immutable after construction
-  // Serializes every request against the mutable daemon state below.
-  mutable util::Mutex mu_{"serve.service", util::kLockRankServeService};
-  rack::Rack rack_ PANDIA_GUARDED_BY(mu_);
-  std::unique_ptr<Journal> journal_ PANDIA_GUARDED_BY(mu_);  // null: disabled
-  bool shutdown_ PANDIA_GUARDED_BY(mu_) = false;
-  // Read-only degraded mode (persistent journal failure). `failures_` is
-  // the consecutive-append-failure streak feeding the entry threshold.
-  bool degraded_ PANDIA_GUARDED_BY(mu_) = false;
-  int journal_failures_ PANDIA_GUARDED_BY(mu_) = 0;
+  rack::Rack rack_;
+  std::unique_ptr<Journal> journal_;  // null: disabled
+  // Read-only degraded mode (persistent journal failure).
+  // `journal_failures_` is the consecutive-append-failure streak feeding
+  // the entry threshold.
+  bool degraded_ = false;
+  int journal_failures_ = 0;
   // Internally synchronized; heap-owned so the service stays movable.
   std::unique_ptr<obs::FlightRecorder> recorder_;
 };

@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "src/serve/fleet_service.h"
 #include "src/serve/socket_internal.h"
 #include "src/util/strings.h"
 
@@ -97,7 +98,7 @@ class Poller {
 // buffer, feeding each to the service; returns the concatenated responses.
 // This is where pipelining happens — a client that wrote N request lines
 // before reading gets N response blocks queued back to back.
-std::string DrainLines(RequestHandler& service, std::string& buffer) {
+std::string DrainLines(FleetService& service, std::string& buffer) {
   std::string responses;
   size_t start = 0;
   while (true) {
@@ -164,7 +165,7 @@ bool FlushSome(int fd, Connection& conn) {
 
 // Services one readiness event on a client connection. Returns false when
 // the connection should be closed (clean EOF fully flushed, or error).
-bool HandleClient(RequestHandler& service, Poller& poller, int fd,
+bool HandleClient(FleetService& service, Poller& poller, int fd,
                   const PollerEvent& event, Connection& conn) {
   bool fatal = event.error;
   if (!fatal && event.readable && !conn.paused && !conn.peer_eof) {
@@ -313,7 +314,7 @@ SocketServer::~SocketServer() {
   }
 }
 
-Status RunEventLoop(RequestHandler& service, int stdin_fd,
+Status RunEventLoop(FleetService& service, int stdin_fd,
                     std::FILE* stdout_stream, SocketServer* server) {
   // stdout_stream may be a pipe whose reader is gone; without this a single
   // fputs would SIGPIPE the process instead of failing the one write.

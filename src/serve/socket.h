@@ -1,6 +1,6 @@
 // Server-side transports for the placement daemon: a Unix-domain socket
-// listener and the multi-client event loop that drives a RequestHandler
-// (PlacementService or FleetService — the loop cannot tell them apart).
+// listener and the multi-client event loop that drives the daemon's front
+// door, FleetService (src/serve/fleet_service.h).
 //
 // The event loop multiplexes line-delimited requests from an optional stdin
 // file descriptor (answers go to a stdio stream) and from any number of
@@ -29,11 +29,12 @@
 #include <cstdio>
 #include <string>
 
-#include "src/serve/handler.h"
 #include "src/util/status.h"
 
 namespace pandia {
 namespace serve {
+
+class FleetService;
 
 // A listening Unix-domain socket. The path is unlinked on destruction (and
 // any stale socket file is unlinked before binding).
@@ -64,7 +65,7 @@ class SocketServer {
 // serving socket clients, so it can be backgrounded with stdin closed.
 // On shutdown, pending response bytes are flushed to every connected
 // client best-effort before the loop returns.
-Status RunEventLoop(RequestHandler& service, int stdin_fd,
+Status RunEventLoop(FleetService& service, int stdin_fd,
                     std::FILE* stdout_stream, SocketServer* server);
 
 }  // namespace serve

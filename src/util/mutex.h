@@ -55,10 +55,9 @@ namespace util {
 // it nests inside and what nests inside it, pick a value between those
 // neighbors, and name the mutex at its declaration:
 //
-//   util::Mutex mu_{"serve.service", util::kLockRankServeService};
+//   util::Mutex mu_{"serve.fleet", util::kLockRankServeFleet};
 inline constexpr int kLockRankUnranked = -1;
-inline constexpr int kLockRankServeFleet = 10;        // fleet admission/route state
-inline constexpr int kLockRankServeService = 20;      // per-rack service state
+inline constexpr int kLockRankServeFleet = 10;        // serving front door: every request
 inline constexpr int kLockRankParallelPool = 30;      // ThreadPool queue
 inline constexpr int kLockRankParallelDone = 35;      // ParallelFor completion latch
 inline constexpr int kLockRankPredictorCacheShard = 40;  // prediction-cache shard

@@ -107,6 +107,7 @@ class [[nodiscard]] StatusOr {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

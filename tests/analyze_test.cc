@@ -120,6 +120,21 @@ TEST(WireVerbDrift, JournalVerbMustBeReplayedByTheService) {
       << findings[0].message;
 }
 
+// Clients reach wire verbs through the front door only, so the shard behind
+// it need not dispatch them; it only replays the journal record verbs.
+TEST(WireVerbDrift, WireVerbsNeedOnlyTheFrontDoor) {
+  const std::vector<Finding> findings = RunAnalyzer(
+      {WireHeader(),
+       {"src/serve/service.cc",
+        "void Replay(const Record& record) {\n"
+        "  if (record.verb == \"NOTED\") { return; }\n"
+        "}\n"},
+       FleetDispatching("  if (request.verb == \"PING\") { return; }\n"
+                        "  if (request.verb == \"STATS\") { return; }\n"),
+       DesignDocumenting("Verbs: PING, STATS; journal records: NOTED.\n")});
+  EXPECT_TRUE(findings.empty()) << findings.front().message;
+}
+
 TEST(WireVerbDrift, UndocumentedVerbOnlyWhenDesignPresent) {
   const std::vector<SourceFile> tree = {
       WireHeader(), ServiceDispatchingAll(),

@@ -13,13 +13,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/eval/pipeline.h"
-#include "src/serve/service.h"
+#include "src/serve/fleet_service.h"
 #include "src/serve/socket.h"
 #include "src/util/strings.h"
 #include "src/workloads/workloads.h"
@@ -39,10 +40,12 @@ class LiveDaemon {
   explicit LiveDaemon(const std::string& name)
       : path_(::testing::TempDir() + "/" + name) {
     std::remove(path_.c_str());
-    StatusOr<PlacementService> service =
-        PlacementService::Create(OneNodeRack(), ServiceOptions{});
+    FleetOptions options;
+    options.shards = 1;
+    StatusOr<std::unique_ptr<FleetService>> service =
+        FleetService::Create(OneNodeRack(), options);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
-    service_.emplace(std::move(service).value());
+    service_ = std::move(service).value();
     StatusOr<SocketServer> server = SocketServer::Listen(path_);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     server_.emplace(std::move(server).value());
@@ -65,7 +68,7 @@ class LiveDaemon {
 
  private:
   std::string path_;
-  std::optional<PlacementService> service_;
+  std::unique_ptr<FleetService> service_;
   std::optional<SocketServer> server_;
   std::thread loop_;
 };

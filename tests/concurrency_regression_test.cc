@@ -247,9 +247,10 @@ TEST(ConcurrencyRegression, ServiceSurvivesConcurrentSocketClients) {
   for (int i = 0; i < 4; ++i) {
     machines.push_back({StrFormat("node%d", i), pipeline.description()});
   }
-  StatusOr<serve::PlacementService> service =
-      serve::PlacementService::Create(std::move(machines),
-                                      serve::ServiceOptions{});
+  serve::FleetOptions options;
+  options.shards = 1;
+  StatusOr<std::unique_ptr<serve::FleetService>> service =
+      serve::FleetService::Create(std::move(machines), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   const std::string path =
@@ -259,7 +260,7 @@ TEST(ConcurrencyRegression, ServiceSurvivesConcurrentSocketClients) {
 
   std::thread loop([&service, &server] {
     const Status served =
-        serve::RunEventLoop(*service, /*stdin_fd=*/-1, stdout, &*server);
+        serve::RunEventLoop(**service, /*stdin_fd=*/-1, stdout, &*server);
     EXPECT_TRUE(served.ok()) << served.ToString();
   });
 
@@ -307,7 +308,7 @@ TEST(ConcurrencyRegression, ServiceSurvivesConcurrentSocketClients) {
   const StatusOr<std::string> bye = serve::SocketExchange(path, "SHUTDOWN\n");
   ASSERT_TRUE(bye.ok()) << bye.status().ToString();
   loop.join();
-  EXPECT_TRUE(service->shutdown_requested());
+  EXPECT_TRUE((*service)->shutdown_requested());
 }
 
 // Admission probes fan out over ParallelFor workers, one machine each, and

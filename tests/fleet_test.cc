@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/eval/pipeline.h"
+#include "src/obs/metrics.h"
 #include "src/rack/fleet.h"
 #include "src/serialize/serialize.h"
 #include "src/util/rng.h"
@@ -236,6 +237,161 @@ TEST(FleetService, MalformedAndUnknownRequestsGetStructuredErrors) {
   EXPECT_TRUE(IsErrBlock(fleet->HandleLine("NOSUCHVERB")));
   EXPECT_TRUE(IsErrBlock(fleet->HandleLine("ADMIT")));
   EXPECT_TRUE(IsErrBlock(fleet->HandleLine("DEPART")));
+}
+
+// The front door counts each client request once, whatever the shards do
+// with it, and its gauges sum over the shards.
+TEST(FleetService, InstrumentsCountEachClientRequestOnce) {
+  FleetOptions options;
+  options.shards = 2;
+  std::unique_ptr<FleetService> fleet = MustCreate(Nodes(2), options);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& status_requests = registry.counter("serve.status.requests");
+  obs::Counter& admit_requests = registry.counter("serve.admit.requests");
+  obs::Counter& admit_errors = registry.counter("serve.admit.errors");
+
+  const uint64_t statuses = status_requests.value();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(IsOkBlock(fleet->HandleLine("STATUS")));
+  }
+  EXPECT_EQ(status_requests.value() - statuses, 3u);
+
+  // Fill the probe's preferred shard, so its ADMIT falls through to the
+  // other one.
+  const rack::Fleet router(2, rack::ShardPolicy::kConsistentHash);
+  const std::vector<rack::ShardLoad> loads(2);
+  const std::string probe = "fallthrough-job";
+  const int preferred = router.PreferredShard(probe, loads);
+  std::string filler;
+  for (int i = 0;; ++i) {
+    filler = StrFormat("fill%d", i);
+    if (router.PreferredShard(filler, loads) == preferred) {
+      break;
+    }
+  }
+  ASSERT_TRUE(IsOkBlock(fleet->HandleLine(AdmitLine(filler, "EP", 32))));
+  const uint64_t admits = admit_requests.value();
+  const uint64_t admit_failures = admit_errors.value();
+  const std::string admitted = fleet->HandleLine(AdmitLine(probe, "EP", 4));
+  ASSERT_TRUE(IsOkBlock(admitted)) << admitted;
+  ASSERT_EQ(ShardOf(admitted), 1 - preferred);
+  EXPECT_EQ(admit_requests.value() - admits, 1u);
+  EXPECT_EQ(admit_errors.value() - admit_failures, 0u);
+
+  int jobs = 0;
+  int free = 0;
+  for (int k = 0; k < fleet->num_shards(); ++k) {
+    const rack::Rack& rack = fleet->shard(k).rack();
+    jobs += rack.JobCount();
+    for (size_t m = 0; m < rack.machines().size(); ++m) {
+      free += rack.FreeThreadCount(static_cast<int>(m));
+    }
+  }
+  EXPECT_EQ(jobs, 2);
+  EXPECT_EQ(registry.gauge("serve.jobs").value(), jobs);
+  EXPECT_EQ(registry.gauge("serve.free_threads").value(), free);
+}
+
+// A fanned-out mutation reports what landed: shard 0 compacts, shard 1 is
+// degraded and refuses, and the reply keeps shard 0's rows with a warning
+// for shard 1 instead of failing the whole request.
+TEST(FleetService, FanOutKeepsTheRowsOfShardsThatApplied) {
+  const std::string base = ::testing::TempDir() + "/pandia_fleet_fanout.wire";
+  for (int k = 0; k < 2; ++k) {
+    std::remove(StrFormat("%s.shard%d", base.c_str(), k).c_str());
+  }
+  FleetOptions options;
+  options.shards = 2;
+  options.service.journal_path = base;
+  std::unique_ptr<FleetService> fleet = MustCreate(Nodes(4), options);
+  const rack::Fleet router(2, rack::ShardPolicy::kConsistentHash);
+  const std::vector<rack::ShardLoad> loads(2);
+  std::vector<std::string> on_shard[2];
+  for (int i = 0; on_shard[0].size() < 3 || on_shard[1].size() < 3; ++i) {
+    const std::string name = StrFormat("job%d", i);
+    on_shard[router.PreferredShard(name, loads)].push_back(name);
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(IsOkBlock(fleet->HandleLine(AdmitLine(on_shard[0][i], "EP", 1))));
+  }
+  // Shard 1's appends fail from here on: three failed ADMITs degrade it,
+  // and its COMPACT probe fails too.
+  fleet->shard(1).journal_for_test()->InjectAppendFailures(4);
+  for (int i = 0; i < 3; ++i) {
+    const std::string refused = fleet->HandleLine(AdmitLine(on_shard[1][i], "EP", 1));
+    ASSERT_TRUE(IsErrBlock(refused)) << refused;
+  }
+  ASSERT_TRUE(fleet->shard(1).degraded());
+  ASSERT_EQ(fleet->shard(0).journal_for_test()->record_count(), 3u);
+
+  const std::string compacted = fleet->HandleLine("COMPACT");
+  ASSERT_TRUE(IsOkBlock(compacted)) << compacted;
+  EXPECT_NE(compacted.find("shard = 0\nrecords-before = 3\nrecords-after = 1\n"),
+            std::string::npos)
+      << compacted;
+  EXPECT_NE(compacted.find("shard = 1\nwarning = shard 1: journal"),
+            std::string::npos)
+      << compacted;
+  EXPECT_EQ(fleet->shard(0).journal_for_test()->record_count(), 1u);
+
+  // Only a request every shard refuses fails.
+  FleetOptions unjournaled;
+  unjournaled.shards = 2;
+  std::unique_ptr<FleetService> plain = MustCreate(Nodes(4), unjournaled);
+  const std::string refused = plain->HandleLine("COMPACT");
+  EXPECT_TRUE(IsErrBlock(refused)) << refused;
+  EXPECT_NE(refused.find("failed-precondition"), std::string::npos) << refused;
+  for (int k = 0; k < 2; ++k) {
+    std::remove(StrFormat("%s.shard%d", base.c_str(), k).c_str());
+  }
+}
+
+// A fleet of one shard adds nothing of its own to what the rack answers.
+TEST(FleetService, OneShardAddsNoFleetRows) {
+  FleetOptions options;
+  options.shards = 1;
+  std::unique_ptr<FleetService> fleet = MustCreate(Nodes(2), options);
+  EXPECT_EQ(fleet->HandleLine("HELLO"),
+            "ok HELLO\nprotocol = 1\ncapabilities = compact,recorder,telemetry\n.\n");
+  const std::string admitted = fleet->HandleLine(AdmitLine("web", "EP", 2));
+  ASSERT_TRUE(IsOkBlock(admitted)) << admitted;
+  EXPECT_EQ(admitted.find("shard"), std::string::npos) << admitted;
+  const std::string duplicate = fleet->HandleLine(AdmitLine("web", "EP", 2));
+  EXPECT_NE(duplicate.find("already\\sresident\n"), std::string::npos) << duplicate;
+  EXPECT_EQ(fleet->HandleLine("STATUS").find("shard"), std::string::npos);
+}
+
+// Shard 0's flight recorder keeps the requests the front door answers
+// itself (HELLO, METRICS, unparseable lines, unknown verbs) next to the
+// ones it serves, at every shard count; another shard records only the
+// requests that reach it.
+TEST(FleetService, RecorderKeepsTheRequestsTheFrontDoorAnswers) {
+  for (const int shards : {1, 2}) {
+    FleetOptions options;
+    options.shards = shards;
+    std::unique_ptr<FleetService> fleet = MustCreate(Nodes(4), options);
+    for (const char* line :
+         {"HELLO", "GARBAGE ???", "METRICS", "NOSUCHVERB", "STATUS", "SHUTDOWN"}) {
+      (void)fleet->HandleLine(line);
+    }
+    std::vector<std::vector<std::string>> requests(static_cast<size_t>(shards));
+    for (int k = 0; k < shards; ++k) {
+      for (const obs::FlightEvent& event : fleet->shard(k).recorder().Dump()) {
+        if (event.kind == "request") {
+          requests[static_cast<size_t>(k)].push_back(event.detail);
+        }
+      }
+    }
+    EXPECT_EQ(requests[0],
+              (std::vector<std::string>{"HELLO", "PARSE", "METRICS",
+                                        "NOSUCHVERB invalid-argument", "STATUS",
+                                        "SHUTDOWN"}))
+        << shards << " shard(s)";
+    if (shards == 2) {
+      EXPECT_EQ(requests[1], (std::vector<std::string>{"STATUS", "SHUTDOWN"}));
+    }
+    EXPECT_TRUE(fleet->shutdown_requested());
+  }
 }
 
 // A fixed request script replayed against two independently built fleets

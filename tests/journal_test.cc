@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/eval/pipeline.h"
 #include "src/obs/metrics.h"
 #include "src/serialize/serialize.h"
+#include "src/serve/fleet_service.h"
 #include "src/serve/service.h"
 #include "src/util/crc32c.h"
 #include "src/util/strings.h"
@@ -242,6 +244,34 @@ TEST(Journal, TornSnapshotIsRefusedEvenAtTheTail) {
   std::remove(path.c_str());
 }
 
+// A torn first record numbered above 1 can only be a snapshot torn before
+// its verb, so recovery refuses it instead of truncating the file back to
+// its header. A torn record 1 is an ordinary tear and is truncated.
+TEST(Journal, TornFirstRecordAboveOneIsRefused) {
+  const std::string path = TempPath("journal_torn_first.wire");
+  for (const std::string& torn : {std::string("7 02f94255 58"), std::string("7")}) {
+    ASSERT_TRUE(WriteTextFile(path, "pandia-journal v2\n" + torn).ok());
+    StatusOr<Journal> refused = Journal::Open(path, JournalOptions{});
+    ASSERT_FALSE(refused.ok()) << torn;
+    EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(refused.status().message().find("journal line 2: torn first record"),
+              std::string::npos)
+        << refused.status().ToString();
+    const StatusOr<std::string> kept = ReadTextFile(path);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(*kept, "pandia-journal v2\n" + torn);
+  }
+  const std::string first = Framed(1, wire::FormatRequest(Note("torn")));
+  ASSERT_TRUE(
+      WriteTextFile(path, "pandia-journal v2\n" + first.substr(0, first.size() / 2))
+          .ok());
+  Journal recovered = MustOpen(path);
+  EXPECT_TRUE(recovered.recovery().truncated_torn_tail);
+  EXPECT_TRUE(recovered.recovery().records.empty());
+  EXPECT_EQ(recovered.next_seq(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(Journal, CompactionRewritesToOneSnapshotAndKeepsSequencing) {
   const std::string path = TempPath("journal_compact.wire");
   // A stale tmp from a crashed compaction must be swept on Open.
@@ -460,6 +490,18 @@ PlacementService MustCreate(std::vector<rack::RackMachine> machines,
   return std::move(*service);
 }
 
+// The daemon's front door over one shard; it serves METRICS.
+std::unique_ptr<FleetService> MustCreateFleet(std::vector<rack::RackMachine> machines,
+                                              ServiceOptions options) {
+  FleetOptions fleet_options;
+  fleet_options.shards = 1;
+  fleet_options.service = std::move(options);
+  StatusOr<std::unique_ptr<FleetService>> fleet =
+      FleetService::Create(std::move(machines), std::move(fleet_options));
+  EXPECT_TRUE(fleet.ok()) << fleet.status().ToString();
+  return std::move(fleet).value();
+}
+
 bool IsOkBlock(const std::string& block) { return block.rfind("ok ", 0) == 0; }
 bool IsErrBlock(const std::string& block) { return block.rfind("err ", 0) == 0; }
 
@@ -467,40 +509,41 @@ TEST(ServiceDegraded, PersistentAppendFailureEntersReadOnlyModeAndRecovers) {
   const std::string journal = TempPath("service_degraded.wire");
   ServiceOptions options;
   options.journal_path = journal;
-  PlacementService service = MustCreate(TwoNodeRack(), options);
+  std::unique_ptr<FleetService> service = MustCreateFleet(TwoNodeRack(), options);
+  PlacementService& shard = service->shard(0);
   // Appends 1-5 fail, everything after succeeds. With the default threshold
   // of 3 consecutive failures the service degrades on the third admit.
-  service.journal_for_test()->InjectAppendFailures(5);
+  shard.journal_for_test()->InjectAppendFailures(5);
 
-  const std::string telemetry_before = service.HandleLine("TELEMETRY");
+  const std::string telemetry_before = service->HandleLine("TELEMETRY");
   for (int i = 0; i < 3; ++i) {
     const std::string response =
-        service.HandleLine(AdmitLine(StrFormat("job%d", i), "EP", 2));
+        service->HandleLine(AdmitLine(StrFormat("job%d", i), "EP", 2));
     ASSERT_TRUE(IsErrBlock(response)) << response;
     EXPECT_NE(response.find("unavailable"), std::string::npos) << response;
   }
-  EXPECT_TRUE(service.degraded());
+  EXPECT_TRUE(shard.degraded());
   // A mutation applies only after its record is durable, so the failed
   // appends left the rack untouched: TELEMETRY is byte-identical to never
   // having tried.
-  EXPECT_EQ(service.HandleLine("TELEMETRY"), telemetry_before);
+  EXPECT_EQ(service->HandleLine("TELEMETRY"), telemetry_before);
 
   // Read verbs keep serving; mutating verbs are refused with a read-only
   // hint and the gauge reports the mode.
-  EXPECT_TRUE(IsOkBlock(service.HandleLine("STATUS")));
-  const std::string metrics = service.HandleLine("METRICS format=expo");
+  EXPECT_TRUE(IsOkBlock(service->HandleLine("STATUS")));
+  const std::string metrics = service->HandleLine("METRICS format=expo");
   EXPECT_NE(metrics.find("serve.degraded 1"), std::string::npos) << metrics;
-  const std::string refused = service.HandleLine(AdmitLine("jobx", "EP", 2));
+  const std::string refused = service->HandleLine(AdmitLine("jobx", "EP", 2));
   ASSERT_TRUE(IsErrBlock(refused)) << refused;
   EXPECT_NE(refused.find("read-only"), std::string::npos) << refused;
 
   // That refusal burned injected failure #4 as a probe; #5 fails the next
   // probe too; the probe after that succeeds and service resumes.
-  ASSERT_TRUE(IsErrBlock(service.HandleLine(AdmitLine("joby", "EP", 2))));
-  const std::string recovered = service.HandleLine(AdmitLine("jobz", "EP", 2));
+  ASSERT_TRUE(IsErrBlock(service->HandleLine(AdmitLine("joby", "EP", 2))));
+  const std::string recovered = service->HandleLine(AdmitLine("jobz", "EP", 2));
   ASSERT_TRUE(IsOkBlock(recovered)) << recovered;
-  EXPECT_FALSE(service.degraded());
-  EXPECT_NE(service.HandleLine("METRICS format=expo").find("serve.degraded 0"),
+  EXPECT_FALSE(shard.degraded());
+  EXPECT_NE(service->HandleLine("METRICS format=expo").find("serve.degraded 0"),
             std::string::npos);
   std::remove(journal.c_str());
 }
@@ -691,21 +734,21 @@ TEST(ServiceCompact, AutomaticCompactionFiresWhenTheLiveRatioDrops) {
   ServiceOptions options;
   options.journal_path = journal;
   options.compact_min_records = 8;  // tiny threshold so the test is fast
-  options.compact_live_ratio = 0.5;
-  PlacementService service = MustCreate(TwoNodeRack(), options);
+  std::unique_ptr<FleetService> service = MustCreateFleet(TwoNodeRack(), options);
   // Admit+depart churn: every pair adds two records but zero live jobs, so
   // the live ratio decays toward 0 and crosses 0.5 past 8 records.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
-        IsOkBlock(service.HandleLine(AdmitLine(StrFormat("t%d", i), "EP", 1))));
+        IsOkBlock(service->HandleLine(AdmitLine(StrFormat("t%d", i), "EP", 1))));
     ASSERT_TRUE(
-        IsOkBlock(service.HandleLine(StrFormat("DEPART name=t%d", i))));
+        IsOkBlock(service->HandleLine(StrFormat("DEPART name=t%d", i))));
   }
-  ASSERT_NE(service.journal_for_test(), nullptr);
+  Journal* journal_file = service->shard(0).journal_for_test();
+  ASSERT_NE(journal_file, nullptr);
   // Compaction folded the churn into one snapshot; the journal did not keep
   // all 16 records.
-  EXPECT_LE(service.journal_for_test()->record_count(), 8u);
-  const std::string metrics = service.HandleLine("METRICS format=expo");
+  EXPECT_LE(journal_file->record_count(), 8u);
+  const std::string metrics = service->HandleLine("METRICS format=expo");
   EXPECT_NE(metrics.find("serve.journal.live_ratio"), std::string::npos);
   std::remove(journal.c_str());
 }

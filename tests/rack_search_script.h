@@ -11,6 +11,8 @@
 // threads, policy and workload instead of their description text) followed
 // by the exact response block. Everything is deterministic, so the
 // transcript is a byte-level fingerprint of the rack search's decisions.
+// The script runs against a PlacementService, or against any service with
+// a HandleLine whose rack it is given (the daemon's 1-shard front door).
 #ifndef PANDIA_TESTS_RACK_SEARCH_SCRIPT_H_
 #define PANDIA_TESTS_RACK_SEARCH_SCRIPT_H_
 
@@ -75,7 +77,8 @@ inline std::vector<rack::RackMachine> Machines() {
           {"node3", PipelineFor("x3-2").description()}};
 }
 
-inline std::string RunRackSearchScript(PlacementService& service) {
+template <typename Service>
+std::string RunRackSearchScript(Service& service, const rack::Rack& rack) {
   const std::vector<std::string>& suite = Suite();
   const std::vector<rack::Policy> policies = {rack::Policy::kBestSpeedup,
                                               rack::Policy::kLeastInterference,
@@ -86,14 +89,14 @@ inline std::string RunRackSearchScript(PlacementService& service) {
   };
 
   int capacity = 0;
-  for (size_t m = 0; m < service.rack().machines().size(); ++m) {
-    const MachineTopology& topo = service.rack().machines()[m].description.topo;
+  for (size_t m = 0; m < rack.machines().size(); ++m) {
+    const MachineTopology& topo = rack.machines()[m].description.topo;
     capacity += topo.NumCores() * topo.threads_per_core;
   }
   const auto used = [&] {
     int free = 0;
-    for (size_t m = 0; m < service.rack().machines().size(); ++m) {
-      free += service.rack().FreeThreadCount(static_cast<int>(m));
+    for (size_t m = 0; m < rack.machines().size(); ++m) {
+      free += rack.FreeThreadCount(static_cast<int>(m));
     }
     return capacity - free;
   };
@@ -127,6 +130,10 @@ inline std::string RunRackSearchScript(PlacementService& service) {
     record(line, line);
   }
   return transcript;
+}
+
+inline std::string RunRackSearchScript(PlacementService& service) {
+  return RunRackSearchScript(service, service.rack());
 }
 
 }  // namespace rack_search_script

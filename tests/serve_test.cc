@@ -23,6 +23,7 @@
 #include "src/predictor/prediction_cache.h"
 #include "src/serialize/serialize.h"
 #include "src/serve/client.h"
+#include "src/serve/fleet_service.h"
 #include "src/serve/socket.h"
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
@@ -83,6 +84,19 @@ PlacementService MustCreate(std::vector<rack::RackMachine> machines,
   return std::move(*service);
 }
 
+// The daemon's front door over one shard, as `pandia_serve` builds it
+// without --shards.
+std::unique_ptr<FleetService> MustCreateFleet(std::vector<rack::RackMachine> machines,
+                                              ServiceOptions options) {
+  FleetOptions fleet_options;
+  fleet_options.shards = 1;
+  fleet_options.service = std::move(options);
+  StatusOr<std::unique_ptr<FleetService>> fleet =
+      FleetService::Create(std::move(machines), std::move(fleet_options));
+  EXPECT_TRUE(fleet.ok()) << fleet.status().ToString();
+  return std::move(fleet).value();
+}
+
 bool IsOkBlock(const std::string& block) { return block.rfind("ok ", 0) == 0; }
 bool IsErrBlock(const std::string& block) { return block.rfind("err ", 0) == 0; }
 
@@ -128,33 +142,33 @@ void ExpectMatchesGolden(const std::string& name, const std::string& pin) {
 }
 
 TEST(PlacementService, AdmitStatusDepartLifecycle) {
-  PlacementService service = MustCreate(FourNodeRack(), ServiceOptions{});
+  std::unique_ptr<FleetService> service = MustCreateFleet(FourNodeRack(), ServiceOptions{});
 
-  const std::string admitted = service.HandleLine(AdmitLine("web", "EP", 4));
+  const std::string admitted = service->HandleLine(AdmitLine("web", "EP", 4));
   ASSERT_TRUE(IsOkBlock(admitted)) << admitted;
   EXPECT_NE(admitted.find("machine = "), std::string::npos);
   EXPECT_NE(admitted.find("threads = "), std::string::npos);
   EXPECT_NE(admitted.find("speedup = "), std::string::npos);
 
-  const std::string status = service.HandleLine("STATUS");
+  const std::string status = service->HandleLine("STATUS");
   ASSERT_TRUE(IsOkBlock(status)) << status;
   EXPECT_NE(status.find("version = 1"), std::string::npos);
   EXPECT_NE(status.find("jobs = 1"), std::string::npos);
   EXPECT_NE(status.find("job = web"), std::string::npos);
   EXPECT_NE(status.find("bottleneck="), std::string::npos);
 
-  const std::string departed = service.HandleLine("DEPART name=web");
+  const std::string departed = service->HandleLine("DEPART name=web");
   ASSERT_TRUE(IsOkBlock(departed)) << departed;
-  const std::string after = service.HandleLine("STATUS");
+  const std::string after = service->HandleLine("STATUS");
   EXPECT_NE(after.find("jobs = 0"), std::string::npos);
 
-  const std::string metrics = service.HandleLine("METRICS");
+  const std::string metrics = service->HandleLine("METRICS");
   ASSERT_TRUE(IsOkBlock(metrics)) << metrics;
   EXPECT_NE(metrics.find("counter rack.admissions"), std::string::npos);
 }
 
 TEST(PlacementService, MalformedRequestsGetStructuredErrors) {
-  PlacementService service = MustCreate(FourNodeRack(), ServiceOptions{});
+  std::unique_ptr<FleetService> service = MustCreateFleet(FourNodeRack(), ServiceOptions{});
   const std::vector<std::string> bad = {
       "",                                  // empty line
       "lowercase verb",                    // bad verb charset
@@ -168,12 +182,12 @@ TEST(PlacementService, MalformedRequestsGetStructuredErrors) {
       "REBALANCE budget=3",                // unknown parameter
   };
   for (const std::string& line : bad) {
-    const std::string response = service.HandleLine(line);
+    const std::string response = service->HandleLine(line);
     EXPECT_TRUE(IsErrBlock(response)) << "'" << line << "' -> " << response;
     EXPECT_EQ(response.substr(response.size() - 2), ".\n") << response;
   }
-  EXPECT_FALSE(service.shutdown_requested());
-  EXPECT_EQ(service.rack().JobCount(), 0);
+  EXPECT_FALSE(service->shutdown_requested());
+  EXPECT_EQ(service->shard(0).rack().JobCount(), 0);
 }
 
 TEST(PlacementService, AdmitRefusedWhenNothingFits) {
@@ -252,6 +266,28 @@ TEST(PlacementService, RackSearchWorkMatchesGolden) {
   ExpectMatchesGolden("rack_search_work", WorkSince(before, ""));
 }
 
+// The golden figures of a journal file's text: its records per verb, its
+// size and its CRC32C.
+std::string JournalPin(const std::string& text) {
+  // Each record line is "seq crc len VERB ..."; the first line is the magic.
+  std::map<std::string, int> verbs;
+  int records = 0;
+  const std::vector<std::string> lines = StrSplit(text, '\n');
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const std::vector<std::string> fields = StrSplit(lines[i], ' ');
+    if (fields.size() >= 4) {
+      ++records;
+      ++verbs[fields[3]];
+    }
+  }
+  std::string pin = StrFormat("records %d\n", records);
+  for (const auto& [verb, count] : verbs) {
+    pin += StrFormat("%s %d\n", verb.c_str(), count);
+  }
+  pin += StrFormat("bytes %zu\ncrc32c %08x\n", text.size(), Crc32c(text));
+  return pin;
+}
+
 // The journal behind the same script, pinned by its records per verb, its
 // size and its CRC32C. The script's ADMITs carry three descriptions each, so
 // the pin also checks that each ADMITTED record holds the chosen machine
@@ -271,23 +307,39 @@ TEST(PlacementService, RackSearchJournalMatchesGolden) {
   }
   const StatusOr<std::string> text = ReadTextFile(journal);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
-  // Each record line is "seq crc len VERB ..."; the first line is the magic.
-  std::map<std::string, int> verbs;
-  int records = 0;
-  const std::vector<std::string> lines = StrSplit(*text, '\n');
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::vector<std::string> fields = StrSplit(lines[i], ' ');
-    if (fields.size() >= 4) {
-      ++records;
-      ++verbs[fields[3]];
-    }
+  ExpectMatchesGolden("rack_search_journal", JournalPin(*text));
+  std::remove(journal.c_str());
+}
+
+// The daemon serves through its front door at every shard count. Over one
+// shard the front door adds nothing of its own: the scripted session
+// answers with the golden transcript and journals the golden bytes at the
+// configured path itself.
+TEST(FleetService, OneShardAnswersAndJournalsLikeItsRack) {
+  const std::string journal =
+      ::testing::TempDir() + "/pandia_rack_search_fleet_journal.wire";
+  std::remove(journal.c_str());
+  std::remove((journal + ".shard0").c_str());
+  ServiceOptions options;
+  options.prediction.common.jobs = 1;
+  options.journal_path = journal;
+  options.journal.sync = SyncPolicy::kNone;
+  std::string transcript;
+  {
+    std::unique_ptr<FleetService> fleet =
+        MustCreateFleet(rack_search_script::Machines(), options);
+    transcript =
+        rack_search_script::RunRackSearchScript(*fleet, fleet->shard(0).rack());
   }
-  std::string pin = StrFormat("records %d\n", records);
-  for (const auto& [verb, count] : verbs) {
-    pin += StrFormat("%s %d\n", verb.c_str(), count);
-  }
-  pin += StrFormat("bytes %zu\ncrc32c %08x\n", text->size(), Crc32c(*text));
-  ExpectMatchesGolden("rack_search_journal", pin);
+  const StatusOr<std::string> golden =
+      ReadTextFile(PANDIA_TEST_DATA_DIR "/golden/rack_search.txt");
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  EXPECT_TRUE(transcript == *golden)
+      << "the 1-shard front door's transcript differs from "
+         "tests/data/golden/rack_search.txt";
+  const StatusOr<std::string> text = ReadTextFile(journal);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  ExpectMatchesGolden("rack_search_journal", JournalPin(*text));
   std::remove(journal.c_str());
 }
 
@@ -345,13 +397,13 @@ TEST(PlacementService, DepartBeyondTheMarginSolvesOnlyTheMachine) {
 }
 
 TEST(SocketTransport, ServesClientsAndShutsDown) {
-  PlacementService service = MustCreate(FourNodeRack(), ServiceOptions{});
+  std::unique_ptr<FleetService> service = MustCreateFleet(FourNodeRack(), ServiceOptions{});
   const std::string path = ::testing::TempDir() + "/pandia_serve_test.sock";
   StatusOr<SocketServer> server = SocketServer::Listen(path);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   std::thread loop([&service, &server] {
-    const Status served = RunEventLoop(service, /*stdin_fd=*/-1, stdout, &*server);
+    const Status served = RunEventLoop(*service, /*stdin_fd=*/-1, stdout, &*server);
     EXPECT_TRUE(served.ok()) << served.ToString();
   });
 
@@ -365,13 +417,13 @@ TEST(SocketTransport, ServesClientsAndShutsDown) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_NE(second->find("ok SHUTDOWN"), std::string::npos) << *second;
   loop.join();
-  EXPECT_TRUE(service.shutdown_requested());
+  EXPECT_TRUE(service->shutdown_requested());
 }
 
 TEST(SocketTransport, SurvivesStdinEofWhileSocketConfigured) {
   // A backgrounded daemon has its stdin closed immediately; with a socket
   // configured that must detach stdin, not end the loop.
-  PlacementService service = MustCreate(FourNodeRack(), ServiceOptions{});
+  std::unique_ptr<FleetService> service = MustCreateFleet(FourNodeRack(), ServiceOptions{});
   const std::string path = ::testing::TempDir() + "/pandia_serve_eof.sock";
   StatusOr<SocketServer> server = SocketServer::Listen(path);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -382,7 +434,7 @@ TEST(SocketTransport, SurvivesStdinEofWhileSocketConfigured) {
 
   std::thread loop([&service, &server, &stdin_pipe] {
     const Status served =
-        RunEventLoop(service, stdin_pipe[0], stdout, &*server);
+        RunEventLoop(*service, stdin_pipe[0], stdout, &*server);
     EXPECT_TRUE(served.ok()) << served.ToString();
   });
 
@@ -394,7 +446,7 @@ TEST(SocketTransport, SurvivesStdinEofWhileSocketConfigured) {
   ASSERT_TRUE(bye.ok()) << bye.status().ToString();
   loop.join();
   close(stdin_pipe[0]);
-  EXPECT_TRUE(service.shutdown_requested());
+  EXPECT_TRUE(service->shutdown_requested());
 }
 
 // The acceptance-criterion soak. Every response must be a framed ok/err
@@ -542,14 +594,14 @@ TEST(SocketTransport, ReplacesAStaleSocketFile) {
 TEST(SocketTransport, SurvivesClientsThatHangUpBeforeTheResponse) {
   // Clients that connect, ask, and vanish before reading must cost the
   // daemon one failed write, not a SIGPIPE death.
-  PlacementService service = MustCreate(FourNodeRack(), ServiceOptions{});
+  std::unique_ptr<FleetService> service = MustCreateFleet(FourNodeRack(), ServiceOptions{});
   const std::string path = ::testing::TempDir() + "/pandia_hangup.sock";
   std::remove(path.c_str());
   StatusOr<SocketServer> server = SocketServer::Listen(path);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   std::thread loop([&service, &server] {
-    const Status served = RunEventLoop(service, /*stdin_fd=*/-1, stdout, &*server);
+    const Status served = RunEventLoop(*service, /*stdin_fd=*/-1, stdout, &*server);
     EXPECT_TRUE(served.ok()) << served.ToString();
   });
 
@@ -753,10 +805,10 @@ TEST(PlacementService, AdmitJournalsTheDescriptionTextAsReceived) {
 }
 
 TEST(PlacementService, MetricsExpoFormat) {
-  PlacementService service = MustCreate(FourNodeRack(), ServiceOptions{});
-  ASSERT_TRUE(IsOkBlock(service.HandleLine(AdmitLine("web", "EP", 4))));
+  std::unique_ptr<FleetService> service = MustCreateFleet(FourNodeRack(), ServiceOptions{});
+  ASSERT_TRUE(IsOkBlock(service->HandleLine(AdmitLine("web", "EP", 4))));
 
-  const std::string expo = service.HandleLine("METRICS format=expo");
+  const std::string expo = service->HandleLine("METRICS format=expo");
   ASSERT_TRUE(IsOkBlock(expo)) << expo;
   // Bare `name value` samples (the registry is process-global, so only
   // presence is asserted, not exact counts) and histogram rows with
@@ -768,11 +820,11 @@ TEST(PlacementService, MetricsExpoFormat) {
   EXPECT_NE(expo.find("serve.admit.latency_us.sum "), std::string::npos);
   EXPECT_NE(expo.find("serve.jobs "), std::string::npos);
   // The default table rendering is unchanged, and bad formats are errors.
-  const std::string table = service.HandleLine("METRICS");
+  const std::string table = service->HandleLine("METRICS");
   ASSERT_TRUE(IsOkBlock(table)) << table;
   EXPECT_NE(table.find("counter rack.admissions"), std::string::npos);
-  EXPECT_TRUE(IsErrBlock(service.HandleLine("METRICS format=xml")));
-  EXPECT_TRUE(IsErrBlock(service.HandleLine("METRICS verbose=1")));
+  EXPECT_TRUE(IsErrBlock(service->HandleLine("METRICS format=xml")));
+  EXPECT_TRUE(IsErrBlock(service->HandleLine("METRICS verbose=1")));
 }
 
 // Pulls the "<VERB> name=<x>" journal-event sequence out of a RECORDER dump.

@@ -41,6 +41,8 @@ namespace {
 constexpr int kMachines = 2;
 constexpr int kOperations = 500;
 constexpr uint64_t kCompactMinRecords = 128;
+// The service compacts automatically below this live ratio, a constant of
+// src/serve/service.cc.
 constexpr double kLiveRatio = 0.5;
 
 const eval::Pipeline& X3() {
@@ -78,7 +80,6 @@ StatusOr<PlacementService> Open(const std::string& journal) {
   // The crash model is kill -9, which fflush alone survives.
   options.journal.sync = SyncPolicy::kNone;
   options.compact_min_records = kCompactMinRecords;
-  options.compact_live_ratio = kLiveRatio;
   return PlacementService::Create(std::move(machines), std::move(options));
 }
 

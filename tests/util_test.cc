@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "src/util/crc32c.h"
 #include "src/util/lock_rank.h"
 #include "src/util/mutex.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
+#include "src/util/status.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
 
@@ -172,6 +174,30 @@ TEST(Strings, SplitNoSeparator) {
   const std::vector<std::string> fields = StrSplit("abc", ',');
   ASSERT_EQ(fields.size(), 1u);
   EXPECT_EQ(fields[0], "abc");
+}
+
+// --- status ---
+
+// Counts its copies, so a test can tell a move from a copy.
+struct CopyCounted {
+  explicit CopyCounted(int* counter) : copies(counter) {}
+  CopyCounted(const CopyCounted& other) : copies(other.copies) { ++*copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted&) = delete;
+  CopyCounted& operator=(CopyCounted&&) = delete;
+  int* copies;
+};
+
+TEST(StatusOr, DereferencingAnRvalueMovesTheValue) {
+  int copies = 0;
+  StatusOr<CopyCounted> moved{CopyCounted(&copies)};
+  ASSERT_EQ(copies, 0);
+  const CopyCounted taken = *std::move(moved);
+  EXPECT_EQ(copies, 0);
+  StatusOr<CopyCounted> kept{CopyCounted(&copies)};
+  const CopyCounted copied = *kept;
+  EXPECT_EQ(copies, 1);
+  EXPECT_EQ(taken.copies, copied.copies);
 }
 
 // --- table ---

@@ -31,10 +31,10 @@
 //                        skip every candidate placement whose speedup
 //                        ceiling (its Amdahl speedup) cannot clear the
 //                        margin, so a larger margin also means fewer solves
-//   --shards=N           fleet mode: shard the machines across N placement
-//                        shards, each with its own journal
-//                        (<journal>.shard<k>) and telemetry (default 1:
-//                        plain single-rack service)
+//   --shards=N           shard the machines across N placement shards,
+//                        each with its own journal (<journal>.shard<k>)
+//                        and telemetry (default 1: one rack, journaled at
+//                        <journal> itself)
 //   --shard-policy=P     fleet admission routing: consistent-hash (default)
 //                        or least-loaded
 //   --socket=PATH        also listen on a Unix-domain socket at PATH
@@ -205,36 +205,19 @@ int main(int argc, char** argv) {
   common.Apply(options.prediction.common);
 
   const size_t machine_count = machines.size();
-  // Fleet mode owns N services; single-rack mode keeps the plain service so
-  // a 1-shard daemon is byte-identical to the pre-fleet one.
-  std::unique_ptr<serve::FleetService> fleet;
-  std::unique_ptr<serve::PlacementService> single;
-  serve::RequestHandler* handler = nullptr;
+  serve::FleetOptions fleet_options;
+  fleet_options.shards = shards;
+  fleet_options.shard_policy = shard_policy;
+  fleet_options.service = std::move(options);
+  StatusOr<std::unique_ptr<serve::FleetService>> fleet =
+      serve::FleetService::Create(std::move(machines), std::move(fleet_options));
+  if (!fleet.ok()) {
+    return tools::FailWith(fleet.status());
+  }
+  serve::FleetService& service = **fleet;
   int replayed = 0;
-  if (shards > 1) {
-    serve::FleetOptions fleet_options;
-    fleet_options.shards = shards;
-    fleet_options.shard_policy = shard_policy;
-    fleet_options.service = std::move(options);
-    StatusOr<std::unique_ptr<serve::FleetService>> created =
-        serve::FleetService::Create(std::move(machines), std::move(fleet_options));
-    if (!created.ok()) {
-      return tools::FailWith(created.status());
-    }
-    fleet = std::move(created).value();
-    for (int k = 0; k < fleet->num_shards(); ++k) {
-      replayed += fleet->shard(k).rack().JobCount();
-    }
-    handler = fleet.get();
-  } else {
-    StatusOr<serve::PlacementService> service =
-        serve::PlacementService::Create(std::move(machines), std::move(options));
-    if (!service.ok()) {
-      return tools::FailWith(service.status());
-    }
-    single = std::make_unique<serve::PlacementService>(std::move(service).value());
-    replayed = single->rack().JobCount();
-    handler = single.get();
+  for (int k = 0; k < service.num_shards(); ++k) {
+    replayed += service.shard(k).rack().JobCount();
   }
   std::fprintf(stderr,
                "pandia_serve: %zu machine(s), %d shard(s), %d job(s) "
@@ -245,13 +228,13 @@ int main(int argc, char** argv) {
 
   Status served = Status::Ok();
   if (socket_path.empty()) {
-    served = serve::RunEventLoop(*handler, /*stdin_fd=*/0, stdout, nullptr);
+    served = serve::RunEventLoop(service, /*stdin_fd=*/0, stdout, nullptr);
   } else {
     StatusOr<serve::SocketServer> server = serve::SocketServer::Listen(socket_path);
     if (!server.ok()) {
       return tools::FailWith(server.status());
     }
-    served = serve::RunEventLoop(*handler, /*stdin_fd=*/0, stdout, &*server);
+    served = serve::RunEventLoop(service, /*stdin_fd=*/0, stdout, &*server);
   }
   if (!served.ok()) {
     return tools::FailWith(served);
