@@ -833,6 +833,146 @@ double CoSchedulePredictor::SpeedupCeiling(const WorkloadDescription& workload,
   return amdahl * static_cast<double>(threads) / threads;
 }
 
+double CoSchedulePredictor::CapacityCeiling(const WorkloadDescription& workload,
+                                            const Placement& placement) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!options_.iterate || options_.max_iterations < 2) {
+    return kInf;
+  }
+  // Per-socket rows, grown on a thread's first call.
+  struct Rows {
+    std::vector<uint8_t> active;
+    std::vector<double> bound;    // the socket's Σ u so far
+    std::vector<double> weights;  // per active socket, its memory-node weights
+  };
+  static thread_local Rows rows;
+  const int num_sockets = machine_.topo.num_sockets;
+  const int cores_per_socket = machine_.topo.cores_per_socket;
+  rows.active.resize(static_cast<size_t>(num_sockets));
+  rows.bound.resize(static_cast<size_t>(num_sockets));
+  rows.weights.resize(static_cast<size_t>(num_sockets) * num_sockets);
+  uint8_t* const active = rows.active.data();
+  double* const bound = rows.bound.data();
+
+  // The solver's f_initial, by the same operations.
+  const int threads = placement.TotalThreads();
+  const double p = workload.parallel_fraction;
+  const double f_initial = (1.0 / ((1.0 - p) + p / threads)) / threads;
+  // A plane binds only where the workload's rate is positive, as in the
+  // solver's bottleneck scan.
+  const ResourceDemandVector& d = workload.demands;
+  const auto capped = [](double bound_so_far, double cap, double rate) {
+    return rate > 0.0 ? std::min(bound_so_far, cap / rate) : bound_so_far;
+  };
+  const double private_planes =
+      capped(capped(capped(kInf, machine_.l1_bw, d.l1_bw), machine_.l2_bw, d.l2_bw),
+             machine_.l3_port_bw, d.l3_bw);
+  const double one_thread = capped(private_planes, machine_.core_ops, d.instr_rate);
+  const double shared_core =
+      capped(private_planes, machine_.smt_combined_ops, d.instr_rate);
+  const double socket_planes = capped(kInf, machine_.l3_agg_bw, d.l3_bw);
+
+  // Branch-free over the cores: an idle core adds min(0, cap) = +0.0, and
+  // a placement's pattern of idle, single and shared cores is too irregular
+  // to predict.
+  const uint8_t* const per_core = placement.PerCore().data();
+  int home_socket = -1;
+  for (int socket = 0; socket < num_sockets; ++socket) {
+    double sum = 0.0;
+    int on_socket = 0;
+    for (int core = socket * cores_per_socket; core < (socket + 1) * cores_per_socket;
+         ++core) {
+      const int count = per_core[core];
+      on_socket += count;
+      sum += std::min(count * f_initial, count >= 2 ? shared_core : one_thread);
+    }
+    const bool used = on_socket > 0;
+    active[socket] = used ? 1 : 0;
+    bound[socket] = used ? std::min(sum, socket_planes) : 0.0;
+    if (used && home_socket < 0) {
+      home_socket = socket;
+    }
+  }
+  const auto bounds_total = [&] {
+    double sum = 0.0;
+    for (int socket = 0; socket < num_sockets; ++socket) {
+      sum += bound[socket];
+    }
+    return sum;
+  };
+  // Every memory-node weight is at most 1, so no DRAM node or link can
+  // bind when the tightest of them admits the whole total at the full
+  // dram_total rate: compute-bound workloads stop here.
+  const double dram_total = d.dram_total_bw();
+  const double total = bounds_total();
+  const double tightest = num_sockets > 1 ? std::min(machine_.dram_bw, machine_.link_bw)
+                                          : machine_.dram_bw;
+  if (!(dram_total > 0.0) || home_socket < 0 || tightest / dram_total >= total) {
+    return total;
+  }
+
+  // Each DRAM node and link is one constraint Σ_s rate(s) · U_s ≤ cap, U_s
+  // being socket s's Σ u, over the sockets that send it traffic. The rates
+  // are the solver's tail rates: dram_total × the memory-node weight.
+  double* const weights = rows.weights.data();
+  for (int socket = 0; socket < num_sockets; ++socket) {
+    if (active[socket] != 0) {
+      MemoryNodeWeightsInto(
+          workload.memory_policy, num_sockets,
+          std::span<const uint8_t>(active, static_cast<size_t>(num_sockets)), socket,
+          home_socket,
+          std::span<double>(weights + socket * num_sockets,
+                            static_cast<size_t>(num_sockets)));
+    }
+  }
+  const auto rate = [&](int from, int node) {
+    return active[from] != 0 ? dram_total * weights[from * num_sockets + node] : 0.0;
+  };
+  // The first pass lets a constraint fed by one socket cap that socket. The
+  // second, on those bounds, lets one fed by several cap their sum at cap
+  // over their least rate, the other sockets adding their own bounds.
+  double capped_total = total;
+  double ceiling = total;
+  const auto constrain = [&](bool first_pass, double cap, const auto& rate_from) {
+    int senders = 0;
+    int sender = -1;
+    double sum = 0.0;
+    double least_rate = kInf;
+    for (int socket = 0; socket < num_sockets; ++socket) {
+      const double r = rate_from(socket);
+      if (r > 0.0) {
+        ++senders;
+        sender = socket;
+        sum += bound[socket];
+        least_rate = std::min(least_rate, r);
+      }
+    }
+    if (first_pass && senders == 1) {
+      bound[sender] = std::min(bound[sender], cap / least_rate);
+    } else if (!first_pass && senders >= 2) {
+      ceiling =
+          std::min(ceiling, (capped_total - sum) + std::min(sum, cap / least_rate));
+    }
+  };
+  for (const bool first_pass : {true, false}) {
+    if (!first_pass) {
+      capped_total = bounds_total();
+      ceiling = capped_total;
+    }
+    for (int node = 0; node < num_sockets; ++node) {
+      constrain(first_pass, machine_.dram_bw, [&](int from) { return rate(from, node); });
+    }
+    for (int a = 0; a < num_sockets; ++a) {
+      for (int b = a + 1; b < num_sockets; ++b) {
+        constrain(first_pass, machine_.link_bw, [&](int from) {
+          return from == a ? rate(a, b) : from == b ? rate(b, a) : 0.0;
+        });
+      }
+    }
+  }
+  return ceiling;
+}
+
 // --- Final per-job predictions (§5.5) ---
 void CoSchedulePredictor::AssembleJob(size_t j, const SolverScratch& s,
                                       const SolveOutcome& outcome, double t1,

@@ -85,6 +85,27 @@ class CoSchedulePredictor {
   // no clamp runs, and the ceiling is +infinity.
   double SpeedupCeiling(const WorkloadDescription& workload, int threads) const;
 
+  // A ceiling on the speedup a solo solve of `workload` at `placement` can
+  // report, from the machine's capacities (DESIGN.md, "Bound-and-prune
+  // probes"). At a fixed point of §5 every resource r carries
+  // Σ_t rate(t,r) · u(t) ≤ cap(r), where u(t) = f_initial / s_overall(t) ≤
+  // f_initial and the speedup is Σ_t u(t). A nested relaxation bounds that
+  // sum in one pass over the cores and two over the DRAM nodes and links,
+  // with no allocation after a thread's first call:
+  //   - each core contributes min(threads × f_initial, cap / rate over the
+  //     four core planes), the issue cap being smt_combined_ops when two
+  //     threads share the core;
+  //   - each socket's sum is capped by L3Agg cap / L3 rate;
+  //   - each DRAM node and link, routed as the solver routes the workload's
+  //     memory policy, caps the one socket that sends it traffic, or the
+  //     sum of several.
+  // Solo jobs only: co-runners share SMT cores and resources. The argument
+  // covers exact fixed points; solves that stop at convergence_eps or at
+  // max_iterations rest on kCapacityCeilingSlack and a property test. Like
+  // SpeedupCeiling, +infinity when the options stop after one iteration.
+  double CapacityCeiling(const WorkloadDescription& workload,
+                         const Placement& placement) const;
+
   const MachineDescription& machine() const { return machine_; }
   const PredictionOptions& options() const { return options_; }
 

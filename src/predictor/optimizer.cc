@@ -113,23 +113,39 @@ std::vector<Scored> PredictBatch(const Predictor& predictor,
   return scored;
 }
 
-// The first `top_k` candidates in RanksBefore order, bit for bit the head of
-// a stable sort of every prediction, from a bound-and-prune search.
-// Candidates are solved in classes of equal speedup ceiling
-// (Predictor::SpeedupCeiling), highest first, one ParallelFor batch per
-// class; while fewer than top_k are held nothing can be pruned, so whole
-// classes merge into one batch until it fills the top k. From then on a
-// candidate is skipped unless its ceiling ranks before the k-th held
-// result, index against index. The held results only improve, so a skipped
-// candidate could never have entered. Pruning reads the held results only
-// between batches, so the solve set is the same at every job count.
-std::vector<Scored> TopCandidates(const Predictor& predictor,
-                                  const std::vector<Placement>& candidates, size_t top_k,
-                                  const OptimizerOptions& options) {
+// Each candidate's speedup ceiling (Predictor::SpeedupCeiling), by index.
+std::vector<double> Ceilings(const Predictor& predictor,
+                             const std::vector<Placement>& candidates) {
   std::vector<double> ceilings(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    ceilings[i] = predictor.SpeedupCeiling(candidates[i].TotalThreads());
+    ceilings[i] = predictor.SpeedupCeiling(candidates[i]);
   }
+  return ceilings;
+}
+
+// Candidates per ParallelFor batch once the top k is full. A constant, never
+// derived from the job count, so the solve set is the same at every job
+// count. Pruning sees a batch's results only once the whole batch is
+// solved, so a larger batch solves candidates a smaller one would skip; 8
+// gives a few workers something to share, and over the suite's best and
+// cheapest searches it costs at most 0.02% more solver iterations than 1
+// on each paper machine.
+constexpr size_t kBatchSize = 8;
+
+// The first `top_k` candidates in RanksBefore order, bit for bit the head of
+// a stable sort of every prediction, from a bound-and-prune search.
+// Candidates are visited in descending ceiling order, stable on index, and
+// solved kBatchSize at a time; while fewer than top_k are held nothing can
+// be pruned, so a batch grows until it fills the top k. From then on the
+// walk stops at the first candidate whose ceiling does not rank before the
+// k-th held result, index against index: no later candidate does either,
+// and the held results only improve, so none of them could have entered.
+// Pruning reads the held results only between batches, so the solve set is
+// the same at every job count.
+std::vector<Scored> TopCandidates(const Predictor& predictor,
+                                  const std::vector<Placement>& candidates,
+                                  const std::vector<double>& ceilings, size_t top_k,
+                                  const OptimizerOptions& options) {
   std::vector<size_t> order(candidates.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -139,19 +155,19 @@ std::vector<Scored> TopCandidates(const Predictor& predictor,
   size_t predicted = 0;
   size_t next = 0;  // the first unvisited position in `order`
   while (next < order.size()) {
+    const size_t batch_size = std::max(kBatchSize, top_k - top.size());
     std::vector<size_t> batch;
-    do {
-      const double ceiling = ceilings[order[next]];
-      for (; next < order.size() && ceilings[order[next]] == ceiling; ++next) {
-        if (top.size() < top_k || RanksBefore(ceiling, order[next],
+    for (; next < order.size() && batch.size() < batch_size; ++next) {
+      const size_t i = order[next];
+      if (top.size() == top_k && !RanksBefore(ceilings[i], i,
                                               top.back().prediction.speedup,
                                               top.back().index)) {
-          batch.push_back(order[next]);
-        }
+        break;
       }
-    } while (next < order.size() && top.size() + batch.size() < top_k);
+      batch.push_back(i);
+    }
     if (batch.empty()) {
-      break;  // every later class has a lower ceiling still
+      break;
     }
     predicted += batch.size();
     std::vector<Scored> scored = PredictBatch(predictor, candidates, batch, options);
@@ -229,7 +245,8 @@ StatusOr<std::vector<RankedPlacement>> TryRankPlacements(
   PANDIA_RETURN_IF_ERROR(candidates_or.status());
   std::vector<Placement>& candidates = *candidates_or;
   std::vector<RankedPlacement> ranked;
-  for (Scored& s : TopCandidates(predictor, candidates, top_k, options)) {
+  for (Scored& s : TopCandidates(predictor, candidates, Ceilings(predictor, candidates),
+                                 top_k, options)) {
     ranked.push_back(
         RankedPlacement{std::move(candidates[s.index]), std::move(s.prediction)});
   }
@@ -248,32 +265,43 @@ StatusOr<RankedPlacement> TryFindCheapestPlacement(const Predictor& predictor,
       CandidatePlacements(predictor.machine().topo, options);
   PANDIA_RETURN_IF_ERROR(candidates_or.status());
   std::vector<Placement>& candidates = *candidates_or;
-  const double target =
-      TopCandidates(predictor, candidates, 1, options).front().prediction.speedup *
-      target_fraction;
+  const std::vector<double> ceilings = Ceilings(predictor, candidates);
+  const std::vector<Scored> best =
+      TopCandidates(predictor, candidates, ceilings, 1, options);
+  const size_t best_index = best.front().index;
+  const double target = best.front().prediction.speedup * target_fraction;
 
   // Walk cost classes cheapest first: fewest threads, then fewest active
-  // sockets, enumeration order within a class. A class shares one ceiling,
-  // the ceiling of its thread count, so a class whose ceiling misses the
-  // target holds no qualifier and is skipped unsolved. The first class that
-  // holds a qualifier returns its fastest, the earliest on equal speedups.
-  const auto cost = [&](size_t i) {
-    return std::pair(candidates[i].TotalThreads(), candidates[i].NumActiveSockets());
-  };
+  // sockets, enumeration order within a class. A candidate whose ceiling
+  // + 1e-12 misses the target cannot qualify and is skipped unsolved, but
+  // the best candidate never is: it meets its own target, so the walk
+  // always ends at a class that holds a qualifier, even if a ceiling
+  // undercuts a solve (say, for a description read from a file that breaks
+  // the model's assumptions). The first class that holds a qualifier
+  // returns its fastest, the earliest on equal speedups.
+  // Each key is computed once: recomputing NumActiveSockets inside the
+  // sort's comparisons cost 0.15 ms a call on x3-2.
+  std::vector<std::pair<int, int>> cost(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    cost[i] = std::pair(candidates[i].TotalThreads(), candidates[i].NumActiveSockets());
+  }
   std::vector<size_t> order(candidates.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return cost(a) < cost(b); });
+                   [&](size_t a, size_t b) { return cost[a] < cost[b]; });
   size_t predicted = 0;
   for (size_t next = 0;;) {
-    // The best candidate meets its own target, so some class holds one.
+    // The best candidate's class ends the walk at the latest.
     PANDIA_CHECK(next < order.size());
-    const auto class_cost = cost(order[next]);
+    const std::pair<int, int> class_cost = cost[order[next]];
     std::vector<size_t> batch;
-    for (; next < order.size() && cost(order[next]) == class_cost; ++next) {
-      batch.push_back(order[next]);
+    for (; next < order.size() && cost[order[next]] == class_cost; ++next) {
+      const size_t i = order[next];
+      if (i == best_index || !(ceilings[i] + 1e-12 < target)) {
+        batch.push_back(i);
+      }
     }
-    if (predictor.SpeedupCeiling(class_cost.first) + 1e-12 < target) {
+    if (batch.empty()) {
       continue;
     }
     predicted += batch.size();

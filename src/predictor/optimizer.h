@@ -54,8 +54,9 @@ std::function<bool(const Placement&)> MaxThreadsConstraint(int max_threads);
 // large machines) and returns the one with the highest predicted speedup,
 // the earliest enumerated on ties. The search is exact bound-and-prune
 // (DESIGN.md, "Bound-and-prune probes"): a candidate whose speedup ceiling
-// cannot beat what the search holds is skipped unpredicted, and the result
-// is the exhaustive ranking's bit for bit at every job count.
+// (Predictor::SpeedupCeiling, the lower of its Amdahl and capacity
+// ceilings) cannot beat what the search holds is skipped unpredicted, and
+// the result is the exhaustive ranking's bit for bit at every job count.
 RankedPlacement FindBestPlacement(const Predictor& predictor,
                                   const OptimizerOptions& options = {});
 
@@ -77,8 +78,9 @@ std::vector<RankedPlacement> RankPlacements(const Predictor& predictor, size_t t
 // few cores deliver almost all of the achievable performance.
 //
 // Of equal cost, the fastest wins, then the earliest enumerated. Cost
-// classes are visited cheapest first, and one whose speedup ceiling misses
-// the target is skipped unpredicted.
+// classes are visited cheapest first, and a candidate whose speedup ceiling
+// misses the target is skipped unpredicted, except the best placement's
+// own: it meets its target, so some class always holds a qualifier.
 //
 // TryFindCheapestPlacement reports an out-of-range target_fraction or a
 // constraint that rejects everything as a Status; FindCheapestPlacement

@@ -1,5 +1,6 @@
 #include "src/predictor/predictor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -101,8 +102,10 @@ StatusOr<Prediction> Predictor::TryPredict(const Placement& placement) const {
   return Predict(placement);
 }
 
-double Predictor::SpeedupCeiling(int threads) const {
-  return engine_->SpeedupCeiling(workload_, threads);
+double Predictor::SpeedupCeiling(const Placement& placement) const {
+  return std::min(engine_->SpeedupCeiling(workload_, placement.TotalThreads()),
+                  engine_->CapacityCeiling(workload_, placement) *
+                      (1.0 + kCapacityCeilingSlack));
 }
 
 }  // namespace pandia

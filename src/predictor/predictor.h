@@ -66,6 +66,16 @@ struct PredictionOptions {
 // flags the result in reports and ranking metrics.
 inline constexpr double kDivergenceDelta = 0.01;
 
+// Relative slack on the capacity ceiling (CoSchedulePredictor::
+// CapacityCeiling). Its fixed-point argument covers exact fixed points, and
+// rounding in the ceiling's own sums is about 1e-16 relative; a solve that
+// stops at convergence_eps or max_iterations is not a fixed point. Over
+// every optimizer candidate of the suite on the four paper machines, no
+// solve exceeds its capacity ceiling by more than 1e-15 relative
+// (CoSchedule.SoloSpeedupNeverExceedsItsCapacityCeiling), so 1e-4 leaves
+// ample margin at a cost of under 0.1% more solves.
+inline constexpr double kCapacityCeilingSlack = 1e-4;
+
 struct ThreadPrediction {
   ThreadLocation location;
   double resource_slowdown = 1.0;  // incl. burstiness
@@ -118,10 +128,12 @@ class Predictor {
   // for placements assembled from user input.
   [[nodiscard]] StatusOr<Prediction> TryPredict(const Placement& placement) const;
 
-  // An admissible ceiling on the speedup Predict can report for any
-  // placement of `threads` threads (CoSchedulePredictor::SpeedupCeiling);
-  // +infinity when the options stop after one iteration.
-  double SpeedupCeiling(int threads) const;
+  // A ceiling on the speedup Predict can report for `placement`: the lower
+  // of the Amdahl ceiling of its thread count (CoSchedulePredictor::
+  // SpeedupCeiling) and its capacity ceiling (CoSchedulePredictor::
+  // CapacityCeiling) raised by kCapacityCeilingSlack. +infinity when the
+  // options stop after one iteration (iterate off or max_iterations < 2).
+  double SpeedupCeiling(const Placement& placement) const;
 
   const MachineDescription& machine() const { return machine_; }
   const WorkloadDescription& workload() const { return workload_; }

@@ -3,12 +3,17 @@
 // between jobs, and roughly agree with simulated co-runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
+#include <set>
+#include <string>
 
 #include "src/eval/pipeline.h"
 #include "src/predictor/co_schedule.h"
+#include "src/topology/enumerate.h"
 #include "src/util/rng.h"
+#include "src/util/strings.h"
 #include "src/workloads/workloads.h"
 
 namespace pandia {
@@ -222,6 +227,95 @@ TEST(CoSchedule, SpeedupNeverExceedsItsCeiling) {
       CoSchedulePredictor(X3().description(), one_iteration).SpeedupCeiling(desc, 8),
       inf);
   EXPECT_LT(CoSchedulePredictor(X3().description()).SpeedupCeiling(desc, 8), 8.0);
+}
+
+// CapacityCeiling is admissible for solo jobs: no prediction of any
+// candidate the optimizer searches (x5-2 and x2-4 sampled at 600, as in
+// OptimizerSearch.PrunedSearchMatchesTheExhaustiveScan) exceeds it by more
+// than kCapacityCeilingSlack, for every suite workload on all four paper
+// machines, converged or not. The fixed-point argument covers converged
+// solves only; the others rest on this test. The bound is also tight: where
+// a placement saturates a shared resource, a prediction meets it.
+TEST(CoSchedule, SoloSpeedupNeverExceedsItsCapacityCeiling) {
+  int checked = 0;
+  int non_converged = 0;
+  int violations = 0;
+  double worst_excess = -1.0;  // the largest speedup / ceiling - 1
+  std::set<std::string> tight;
+  for (const char* type : {"x5-2", "x4-2", "x3-2", "x2-4"}) {
+    const eval::Pipeline pipeline(type);
+    const MachineTopology& topo = pipeline.machine().topology();
+    const std::vector<Placement> candidates =
+        CountCanonicalPlacements(topo) <= 5000 ? EnumerateCanonicalPlacements(topo)
+                                               : SampleCanonicalPlacements(topo, 600, 1);
+    for (const sim::WorkloadSpec& workload : workloads::EvaluationSuite()) {
+      const WorkloadDescription desc = pipeline.Profile(workload);
+      for (const int max_iterations : {2, 3, 1000}) {
+        PredictionOptions options;
+        options.max_iterations = max_iterations;
+        const Predictor predictor = pipeline.MakePredictor(desc, options);
+        const CoSchedulePredictor engine(pipeline.description(), options);
+        for (const Placement& placement : candidates) {
+          const Prediction prediction = predictor.Predict(placement);
+          const double ceiling = engine.CapacityCeiling(desc, placement);
+          const double excess = prediction.speedup / ceiling - 1.0;
+          worst_excess = std::max(worst_excess, excess);
+          // Tight where a resource binds: the ceiling is below Amdahl's.
+          if (max_iterations == 1000 && prediction.converged && excess > -1e-9 &&
+              ceiling < engine.SpeedupCeiling(desc, placement.TotalThreads()) * 0.999) {
+            tight.insert(std::string(type) + " " + workload.name);
+          }
+          if (prediction.speedup > ceiling * (1.0 + kCapacityCeilingSlack) &&
+              ++violations <= 5) {
+            ADD_FAILURE() << type << " " << workload.name
+                          << " max_iterations=" << max_iterations << " "
+                          << placement.ToString() << ": speedup " << prediction.speedup
+                          << " above capacity ceiling " << ceiling;
+          }
+          non_converged += prediction.converged ? 0 : 1;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0);
+  EXPECT_GT(checked, 200000);
+  EXPECT_GT(non_converged, 0);
+  RecordProperty("worst_relative_excess", StrFormat("%.3g", worst_excess));
+  RecordProperty("non_converged", non_converged);
+  for (const char* expected : {"x4-2 Swim", "x5-2 Swim", "x5-2 Art"}) {
+    EXPECT_TRUE(tight.count(expected) > 0) << expected;
+  }
+  // Bwaves on x2-4 meets its ceiling where one socket's DRAM saturates, as
+  // with 8 threads on socket 0; the 600-placement sample holds no such
+  // placement.
+  {
+    const eval::Pipeline pipeline("x2-4");
+    const WorkloadDescription bwaves = pipeline.Profile(workloads::ByName("Bwaves"));
+    const Placement one_socket = Placement::OnePerCore(pipeline.machine().topology(), 8);
+    const CoSchedulePredictor engine(pipeline.description());
+    const double ceiling = engine.CapacityCeiling(bwaves, one_socket);
+    EXPECT_NEAR(pipeline.MakePredictor(bwaves).Predict(one_socket).speedup / ceiling, 1.0,
+                1e-9);
+    EXPECT_LT(ceiling, engine.SpeedupCeiling(bwaves, 8) * 0.999);
+  }
+
+  // A solve that stops after one iteration reaches no fixed point: no
+  // ceiling, and neither has the predictor's combined one.
+  const WorkloadDescription& desc = Desc("Swim");
+  const Placement placement = Placement::TwoPerCore(X3().machine().topology(), 16);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool iterate : {false, true}) {
+    PredictionOptions options;
+    options.iterate = iterate;
+    options.max_iterations = iterate ? 1 : 1000;
+    EXPECT_EQ(CoSchedulePredictor(X3().description(), options)
+                  .CapacityCeiling(desc, placement),
+              inf);
+    EXPECT_EQ(X3().MakePredictor(desc, options).SpeedupCeiling(placement), inf);
+  }
+  EXPECT_LT(CoSchedulePredictor(X3().description()).CapacityCeiling(desc, placement),
+            CoSchedulePredictor(X3().description()).SpeedupCeiling(desc, 16));
 }
 
 TEST(CoScheduleDeath, RejectsEmptyRequests) {

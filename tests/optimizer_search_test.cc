@@ -7,6 +7,7 @@
 #include <bit>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/eval/pipeline.h"
@@ -222,6 +223,53 @@ TEST(OptimizerSearch, PrunedSearchMatchesTheExhaustiveScan) {
   EXPECT_GT(non_converged, 0);
   EXPECT_GT(tied, 0);
   EXPECT_GT(pruned, 0u);
+}
+
+// Where the capacity ceiling prunes hardest and is tightest: bandwidth-bound
+// workloads whose best placements run close to what a shared resource
+// carries. At default options (x2-4 sampled at 4000), top 1, 2 and 5 and
+// cheapest at 0.5 to 1.0 of the best are the exhaustive scans' answers bit
+// for bit at jobs 1 and 4, and both job counts solve the same candidates.
+TEST(OptimizerSearch, TightCapacityCasesMatchTheExhaustiveScan) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"x3-2", "Art"}, {"x3-2", "FT"}, {"x4-2", "Swim"}, {"x2-4", "Bwaves"}};
+  for (const auto& [machine, workload] : cases) {
+    SCOPED_TRACE(machine + " " + workload);
+    const eval::Pipeline& pipeline = PipelineFor(machine);
+    const Predictor predictor =
+        pipeline.MakePredictor(pipeline.Profile(workloads::ByName(workload)));
+    const OptimizerOptions base;
+    const std::vector<RankedPlacement> all = PredictEveryCandidate(predictor, base);
+    const std::vector<RankedPlacement> ranked = ExhaustiveRanking(all);
+    std::map<int, uint64_t> predictions_at;
+    for (const int jobs : {1, 4}) {
+      SCOPED_TRACE(StrFormat("jobs %d", jobs));
+      OptimizerOptions options = base;
+      options.common.jobs = jobs;
+      PredictionCache::Global().Clear();
+      const uint64_t predictions_before = Counter("predictor.predictions");
+      for (const size_t top_k : {1, 2, 5}) {
+        const StatusOr<std::vector<RankedPlacement>> top =
+            TryRankPlacements(predictor, top_k, options);
+        ASSERT_TRUE(top.ok()) << top.status().ToString();
+        ASSERT_EQ(top->size(), top_k);
+        for (size_t i = 0; i < top_k; ++i) {
+          SCOPED_TRACE(StrFormat("top %zu, position %zu", top_k, i));
+          ExpectSame((*top)[i], ranked[i]);
+        }
+      }
+      for (const double fraction : {0.5, 0.8, 0.95, 1.0}) {
+        SCOPED_TRACE(StrFormat("cheapest at %.2f", fraction));
+        const StatusOr<RankedPlacement> cheapest =
+            TryFindCheapestPlacement(predictor, fraction, options);
+        ASSERT_TRUE(cheapest.ok()) << cheapest.status().ToString();
+        ExpectSame(*cheapest, ExhaustiveCheapest(all, fraction));
+      }
+      predictions_at[jobs] = Counter("predictor.predictions") - predictions_before;
+    }
+    EXPECT_EQ(predictions_at[1], predictions_at[4]);
+    EXPECT_LT(predictions_at[1], all.size());
+  }
 }
 
 // search-cold's query (perfbench/search_run.cc) at jobs 1: the best
