@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -16,8 +17,82 @@
 namespace pandia {
 namespace {
 
-StatusOr<std::vector<Placement>> CandidatePlacements(const MachineTopology& topo,
-                                                     const OptimizerOptions& options) {
+// What a search needs of its candidates that depends on the machine and
+// the enumeration options alone, never on the workload.
+struct CandidateSet {
+  std::vector<Placement> placements;  // enumeration order
+  // Each placement's cost class, by index: (threads, active sockets).
+  std::vector<std::pair<int, int>> cost;
+  // The cheapest walk's order: every index, stably sorted by cost.
+  std::vector<size_t> by_cost;
+};
+
+// A set of `placements`, given in enumeration order.
+std::shared_ptr<const CandidateSet> MakeCandidateSet(std::vector<Placement> placements) {
+  auto set = std::make_shared<CandidateSet>();
+  // Each key is computed once: recomputing NumActiveSockets inside the
+  // sort's comparisons cost 0.15 ms a call on x3-2.
+  set->cost.resize(placements.size());
+  for (size_t i = 0; i < placements.size(); ++i) {
+    set->cost[i] =
+        std::pair(placements[i].TotalThreads(), placements[i].NumActiveSockets());
+  }
+  set->by_cost.resize(placements.size());
+  std::iota(set->by_cost.begin(), set->by_cost.end(), size_t{0});
+  std::stable_sort(set->by_cost.begin(), set->by_cost.end(),
+                   [&](size_t a, size_t b) { return set->cost[a] < set->cost[b]; });
+  set->placements = std::move(placements);
+  return set;
+}
+
+// What a machine's unconstrained candidate set depends on. The whole
+// topology is compared, because every placement holds a copy of it.
+struct CandidateSetKey {
+  MachineTopology topo;
+  bool sampled = false;
+  size_t sample_count = 0;   // sampled spaces only
+  uint64_t sample_seed = 0;  // sampled spaces only
+
+  friend bool operator==(const CandidateSetKey&, const CandidateSetKey&) = default;
+};
+
+// Draws or enumerates the candidates `key` names and counts the build.
+// `filter` steers a sampled draw (SampleCanonicalPlacements); only a
+// constrained sampled search passes one.
+std::shared_ptr<const CandidateSet> BuildCandidateSet(
+    const CandidateSetKey& key, const std::function<bool(const Placement&)>& filter) {
+  static obs::Counter& exhaustive_runs =
+      obs::MetricsRegistry::Global().counter("optimizer.exhaustive_runs");
+  static obs::Counter& sampled_runs =
+      obs::MetricsRegistry::Global().counter("optimizer.sampled_runs");
+  if (key.sampled) {
+    sampled_runs.Increment();
+    return MakeCandidateSet(
+        SampleCanonicalPlacements(key.topo, key.sample_count, key.sample_seed, filter));
+  }
+  exhaustive_runs.Increment();
+  return MakeCandidateSet(EnumerateCanonicalPlacements(key.topo));
+}
+
+// The unconstrained candidate set for `key`, built on a miss into the
+// calling thread's one slot. A slot per thread needs no lock and holds one
+// set per thread, and every thread builds the same set for the same key.
+// The shared_ptr keeps a set alive for its search even if a nested search
+// on the same thread replaces the slot.
+std::shared_ptr<const CandidateSet> MemoizedCandidateSet(const CandidateSetKey& key) {
+  static thread_local struct {
+    CandidateSetKey key;
+    std::shared_ptr<const CandidateSet> set;
+  } slot;
+  if (slot.set == nullptr || !(slot.key == key)) {
+    slot.set = BuildCandidateSet(key, nullptr);
+    slot.key = key;
+  }
+  return slot.set;
+}
+
+StatusOr<std::shared_ptr<const CandidateSet>> Candidates(const MachineTopology& topo,
+                                                         const OptimizerOptions& options) {
   const obs::TraceSpan span("optimizer.candidates");
   // Reproducibility metrics: with these plus the constraint, a sweep's exact
   // candidate set can be reconstructed from logs alone.
@@ -29,34 +104,38 @@ StatusOr<std::vector<Placement>> CandidatePlacements(const MachineTopology& topo
       obs::MetricsRegistry::Global().gauge("optimizer.sample_seed");
   static obs::Gauge& sample_count =
       obs::MetricsRegistry::Global().gauge("optimizer.sample_count");
-  static obs::Counter& exhaustive_runs =
-      obs::MetricsRegistry::Global().counter("optimizer.exhaustive_runs");
-  static obs::Counter& sampled_runs =
-      obs::MetricsRegistry::Global().counter("optimizer.sampled_runs");
 
   const uint64_t space = CountCanonicalPlacements(topo);
   space_size.Set(static_cast<double>(space));
-  std::vector<Placement> candidates;
-  if (space <= options.exhaustive_limit) {
-    sampled.Set(0.0);
-    exhaustive_runs.Increment();
-    candidates = EnumerateCanonicalPlacements(topo);
-    if (options.constraint) {
-      std::erase_if(candidates,
-                    [&](const Placement& p) { return !options.constraint(p); });
-    }
-  } else {
-    sampled.Set(1.0);
+  const bool sample = space > options.exhaustive_limit;
+  sampled.Set(sample ? 1.0 : 0.0);
+  if (sample) {
     sample_seed.Set(static_cast<double>(options.sample_seed));
     sample_count.Set(static_cast<double>(options.sample_count));
-    sampled_runs.Increment();
-    candidates = SampleCanonicalPlacements(topo, options.sample_count,
-                                           options.sample_seed, options.constraint);
   }
-  if (candidates.empty()) {
+  const CandidateSetKey key{.topo = topo,
+                            .sampled = sample,
+                            .sample_count = sample ? options.sample_count : 0,
+                            .sample_seed = sample ? options.sample_seed : 0};
+  std::shared_ptr<const CandidateSet> set;
+  if (sample && options.constraint) {
+    // The constraint steers the draw, so a constrained sample is drawn per
+    // call.
+    set = BuildCandidateSet(key, options.constraint);
+  } else {
+    set = MemoizedCandidateSet(key);
+    if (options.constraint) {
+      std::vector<Placement> kept;
+      std::copy_if(set->placements.begin(), set->placements.end(),
+                   std::back_inserter(kept),
+                   [&](const Placement& p) { return options.constraint(p); });
+      set = MakeCandidateSet(std::move(kept));
+    }
+  }
+  if (set->placements.empty()) {
     return Status::InvalidArgument("no placements satisfy the constraint");
   }
-  return candidates;
+  return set;
 }
 
 obs::Counter& PlacementsPrunedCounter() {
@@ -240,15 +319,14 @@ StatusOr<std::vector<RankedPlacement>> TryRankPlacements(
     return Status::InvalidArgument("top_k must be positive");
   }
   const obs::TraceSpan span("optimizer.rank");
-  StatusOr<std::vector<Placement>> candidates_or =
-      CandidatePlacements(predictor.machine().topo, options);
-  PANDIA_RETURN_IF_ERROR(candidates_or.status());
-  std::vector<Placement>& candidates = *candidates_or;
+  StatusOr<std::shared_ptr<const CandidateSet>> set =
+      Candidates(predictor.machine().topo, options);
+  PANDIA_RETURN_IF_ERROR(set.status());
+  const std::vector<Placement>& candidates = (*set)->placements;
   std::vector<RankedPlacement> ranked;
   for (Scored& s : TopCandidates(predictor, candidates, Ceilings(predictor, candidates),
                                  top_k, options)) {
-    ranked.push_back(
-        RankedPlacement{std::move(candidates[s.index]), std::move(s.prediction)});
+    ranked.push_back(RankedPlacement{candidates[s.index], std::move(s.prediction)});
   }
   return ranked;
 }
@@ -261,10 +339,12 @@ StatusOr<RankedPlacement> TryFindCheapestPlacement(const Predictor& predictor,
         "target_fraction must be in (0, 1]");
   }
   const obs::TraceSpan span("optimizer.cheapest");
-  StatusOr<std::vector<Placement>> candidates_or =
-      CandidatePlacements(predictor.machine().topo, options);
-  PANDIA_RETURN_IF_ERROR(candidates_or.status());
-  std::vector<Placement>& candidates = *candidates_or;
+  StatusOr<std::shared_ptr<const CandidateSet>> set =
+      Candidates(predictor.machine().topo, options);
+  PANDIA_RETURN_IF_ERROR(set.status());
+  const std::vector<Placement>& candidates = (*set)->placements;
+  const std::vector<std::pair<int, int>>& cost = (*set)->cost;
+  const std::vector<size_t>& order = (*set)->by_cost;
   const std::vector<double> ceilings = Ceilings(predictor, candidates);
   const std::vector<Scored> best =
       TopCandidates(predictor, candidates, ceilings, 1, options);
@@ -279,16 +359,6 @@ StatusOr<RankedPlacement> TryFindCheapestPlacement(const Predictor& predictor,
   // undercuts a solve (say, for a description read from a file that breaks
   // the model's assumptions). The first class that holds a qualifier
   // returns its fastest, the earliest on equal speedups.
-  // Each key is computed once: recomputing NumActiveSockets inside the
-  // sort's comparisons cost 0.15 ms a call on x3-2.
-  std::vector<std::pair<int, int>> cost(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    cost[i] = std::pair(candidates[i].TotalThreads(), candidates[i].NumActiveSockets());
-  }
-  std::vector<size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return cost[a] < cost[b]; });
   size_t predicted = 0;
   for (size_t next = 0;;) {
     // The best candidate's class ends the walk at the latest.
@@ -319,7 +389,7 @@ StatusOr<RankedPlacement> TryFindCheapestPlacement(const Predictor& predictor,
     }
     if (cheapest != nullptr) {
       PlacementsPrunedCounter().Increment(candidates.size() - predicted);
-      return RankedPlacement{std::move(candidates[cheapest->index]),
+      return RankedPlacement{candidates[cheapest->index],
                              std::move(cheapest->prediction)};
     }
   }

@@ -36,12 +36,17 @@ struct OptimizerOptions {
   CommonOptions common;
 
   // When the canonical placement space is larger than this, placements are
-  // sampled instead of enumerated.
+  // sampled instead of enumerated. Either way the unconstrained candidates
+  // are built once per thread for each machine and reused while the
+  // machine, this decision and (when sampled) sample_count and sample_seed
+  // stay the same (DESIGN.md, "Candidate sets").
   uint64_t exhaustive_limit = 25000;
   size_t sample_count = 4000;
   uint64_t sample_seed = 1;
   // Optional admission constraint on candidate placements (e.g. "no SMT",
   // "at most one socket" when other tenants own the rest of the machine).
+  // An exhaustive search filters a copy of the machine's candidates by it;
+  // a sampled one draws its sample through it, per call.
   std::function<bool(const Placement&)> constraint;
 };
 

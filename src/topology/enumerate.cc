@@ -1,6 +1,8 @@
 #include "src/topology/enumerate.h"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "src/util/check.h"
@@ -40,14 +42,22 @@ void EmitMultisets(const MachineTopology& topo, const std::vector<SocketLoad>& l
   }
 }
 
-uint64_t MultisetCount(uint64_t options, int slots) {
-  // C(options + slots - 1, slots)
-  uint64_t result = 1;
-  for (int i = 1; i <= slots; ++i) {
-    result = result * (options + static_cast<uint64_t>(slots - i)) /
-             static_cast<uint64_t>(i);
+// C(options + slots - 1, slots), exactly, or nullopt when it does not fit in
+// 64 bits. The loop takes the smaller of C(n, k) and C(n, n - k), so its
+// partial results C(n, i) only grow: the first that does not fit means the
+// count does not either. Each partial result fits in 64 bits, so its
+// product with n - i + 1 fits in 128 bits and divides exactly.
+std::optional<uint64_t> MultisetCount(uint64_t options, uint64_t slots) {
+  const uint64_t n = options + slots - 1;
+  const uint64_t k = std::min(slots, n - slots);
+  unsigned __int128 result = 1;
+  for (uint64_t i = 1; i <= k; ++i) {
+    result = result * (n - i + 1) / i;
+    if (result > std::numeric_limits<uint64_t>::max()) {
+      return std::nullopt;
+    }
   }
-  return result;
+  return static_cast<uint64_t>(result);
 }
 
 }  // namespace
@@ -64,8 +74,11 @@ std::vector<SocketLoad> EnumerateSocketLoads(const MachineTopology& topo) {
 }
 
 uint64_t CountCanonicalPlacements(const MachineTopology& topo) {
-  const uint64_t options = EnumerateSocketLoads(topo).size();
-  return MultisetCount(options, topo.num_sockets) - 1;  // minus the empty placement
+  const std::optional<uint64_t> multisets = MultisetCount(
+      EnumerateSocketLoads(topo).size(), static_cast<uint64_t>(topo.num_sockets));
+  // Minus the empty placement. With 2^64 multisets or more, the count is at
+  // least UINT64_MAX and saturates there.
+  return multisets ? *multisets - 1 : std::numeric_limits<uint64_t>::max();
 }
 
 std::vector<Placement> EnumerateCanonicalPlacements(const MachineTopology& topo) {

@@ -23,7 +23,9 @@ namespace pandia {
 std::vector<SocketLoad> EnumerateSocketLoads(const MachineTopology& topo);
 
 // Number of canonical placements (multisets of socket loads, excluding the
-// all-empty placement) without materializing them.
+// all-empty placement) without materializing them. Exact wherever it fits
+// in 64 bits; a larger space saturates at UINT64_MAX, so a caller comparing
+// it against an exhaustive limit samples such a space.
 uint64_t CountCanonicalPlacements(const MachineTopology& topo);
 
 // All canonical placements, excluding the all-empty placement, in paper order

@@ -35,6 +35,8 @@ struct MachineTopology {
   // Index of the (unordered) link between two distinct sockets, in
   // [0, NumInterconnectLinks()).
   int LinkIndex(int socket_a, int socket_b) const;
+
+  friend bool operator==(const MachineTopology&, const MachineTopology&) = default;
 };
 
 }  // namespace pandia

@@ -1,12 +1,15 @@
 // src/predictor/optimizer: the pruned best, top-k and cheapest searches
-// against the exhaustive scans they replaced, and the work a
-// best-plus-cheapest search costs, pinned exactly against a golden file.
+// against the exhaustive scans they replaced, the work a best-plus-cheapest
+// search costs, pinned exactly against a golden file, and the per-thread
+// memo of each machine's candidate set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -315,6 +318,91 @@ TEST(OptimizerSearch, SearchWorkMatchesGolden) {
                   << golden.status().ToString() << "); actual written to " << actual
                   << ":\n"
                   << work;
+  }
+}
+
+struct BestAndCheapest {
+  RankedPlacement best;
+  RankedPlacement cheapest;
+};
+
+// pandia_predict's query: the best placement, then the cheapest reaching
+// 95% of it.
+BestAndCheapest Search(const Predictor& predictor, const OptimizerOptions& options) {
+  StatusOr<RankedPlacement> best = TryFindBestPlacement(predictor, options);
+  StatusOr<RankedPlacement> cheapest = TryFindCheapestPlacement(predictor, 0.95, options);
+  EXPECT_TRUE(best.ok()) << best.status().ToString();
+  EXPECT_TRUE(cheapest.ok()) << cheapest.status().ToString();
+  return BestAndCheapest{*std::move(best), *std::move(cheapest)};
+}
+
+void ExpectSameAnswer(const RankedPlacement& actual, const RankedPlacement& expected) {
+  EXPECT_EQ(actual.placement.PerCore(), expected.placement.PerCore());
+  EXPECT_EQ(actual.placement.topology().name, expected.placement.topology().name);
+  EXPECT_EQ(Bits(actual.prediction.speedup), Bits(expected.prediction.speedup));
+}
+
+// Each machine's candidate set is built once per thread, not once per call,
+// and a search answers the same whatever set its thread's slot held before:
+// bit for bit the same search on a fresh thread, whose slot is empty.
+TEST(OptimizerSearch, CandidateSetsAreBuiltOncePerMachine) {
+  const auto predictor_on = [](const std::string& machine) {
+    const eval::Pipeline& pipeline = PipelineFor(machine);
+    return pipeline.MakePredictor(pipeline.Profile(workloads::ByName("EP")));
+  };
+  const Predictor x3 = predictor_on("x3-2");
+  const Predictor x4 = predictor_on("x4-2");
+  const Predictor x2 = predictor_on("x2-4");
+  const eval::Pipeline& x3_pipeline = PipelineFor("x3-2");
+  std::vector<Predictor> suite;
+  for (const sim::WorkloadSpec& workload : workloads::EvaluationSuite()) {
+    suite.push_back(x3_pipeline.MakePredictor(x3_pipeline.Profile(workload)));
+  }
+  OptimizerOptions options;
+  options.common.jobs = 1;
+
+  // The slot holds x4-2's set, so the suite's x3-2 searches build one set,
+  // and then so do two x2-4 searches at one seed.
+  ASSERT_TRUE(TryFindBestPlacement(x4, options).ok());
+  const uint64_t exhaustive_before = Counter("optimizer.exhaustive_runs");
+  for (const Predictor& predictor : suite) {
+    PredictionCache::Global().Clear();
+    ASSERT_TRUE(TryFindBestPlacement(predictor, options).ok());
+    ASSERT_TRUE(TryFindCheapestPlacement(predictor, 0.95, options).ok());
+  }
+  EXPECT_EQ(Counter("optimizer.exhaustive_runs") - exhaustive_before, 1u);
+  const uint64_t sampled_before = Counter("optimizer.sampled_runs");
+  ASSERT_TRUE(TryFindBestPlacement(x2, options).ok());
+  ASSERT_TRUE(TryFindBestPlacement(x2, options).ok());
+  EXPECT_EQ(Counter("optimizer.sampled_runs") - sampled_before, 1u);
+
+  // Interleaved machines, a constraint, seeds and sample sizes: every
+  // answer is the same search's on a fresh thread.
+  struct Step {
+    const Predictor* predictor;
+    OptimizerOptions options;
+  };
+  OptimizerOptions one_socket = options;
+  one_socket.constraint = MaxSocketsConstraint(1);
+  OptimizerOptions seed_2 = options;
+  seed_2.sample_seed = 2;
+  OptimizerOptions count_600 = options;
+  count_600.sample_count = 600;
+  const std::vector<std::vector<Step>> sequences = {
+      {{&x3, options}, {&x3, one_socket}, {&x3, options}, {&x4, options}, {&x3, options}},
+      {{&x2, options}, {&x2, seed_2}, {&x2, options}},
+      {{&x2, count_600}, {&x2, options}},
+  };
+  for (size_t q = 0; q < sequences.size(); ++q) {
+    for (size_t i = 0; i < sequences[q].size(); ++i) {
+      SCOPED_TRACE(StrFormat("sequence %zu, step %zu", q, i));
+      const Step& step = sequences[q][i];
+      const BestAndCheapest here = Search(*step.predictor, step.options);
+      std::optional<BestAndCheapest> fresh;
+      std::thread([&] { fresh = Search(*step.predictor, step.options); }).join();
+      ExpectSameAnswer(here.best, fresh->best);
+      ExpectSameAnswer(here.cheapest, fresh->cheapest);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "src/topology/enumerate.h"
 #include "src/topology/placement.h"
@@ -138,6 +139,26 @@ TEST(Enumerate, CanonicalCountsMatchPaperScaleMachines) {
   MachineTopology x5 = x3;
   x5.cores_per_socket = 18;
   EXPECT_EQ(CountCanonicalPlacements(x5), 18144u);
+}
+
+// The count is exact wherever it fits in 64 bits, even where a product on
+// the way to it does not, and saturates where the count itself does not.
+TEST(Enumerate, CanonicalCountsAreExactOrSaturate) {
+  const auto count = [](int sockets, int cores, int smt) {
+    return CountCanonicalPlacements(MachineTopology{
+        .name = "wide", .num_sockets = sockets, .cores_per_socket = cores,
+        .threads_per_core = smt});
+  };
+  EXPECT_EQ(count(2, 8, 2), 1034u);
+  EXPECT_EQ(count(2, 18, 2), 18144u);
+  // C(63, 62) - 1: one socket load besides the empty one.
+  EXPECT_EQ(count(62, 1, 1), 62u);
+  // C(63, 61) - 1 = 63 * 62 / 2 - 1.
+  EXPECT_EQ(count(61, 1, 2), 1952u);
+  // C(67, 62) - 1, six loads per socket.
+  EXPECT_EQ(count(62, 2, 2), 9657647u);
+  // C(525,825 + 1,023, 1,024) - 1 is far above 2^64.
+  EXPECT_EQ(count(1024, 1024, 2), std::numeric_limits<uint64_t>::max());
 }
 
 TEST(Enumerate, EnumerationMatchesCountAndIsDistinct) {
