@@ -27,6 +27,8 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #ifdef __linux__
 #include <sched.h>
@@ -36,6 +38,7 @@
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/prediction_trace.h"
+#include "src/predictor/co_schedule.h"
 #include "src/predictor/optimizer.h"
 #include "src/predictor/prediction_cache.h"
 #include "src/topology/enumerate.h"
@@ -77,6 +80,53 @@ void BM_PredictPackedFullMachine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictPackedFullMachine);
+
+// The solve shape of a rack probe on a busy machine: an x3-2 (2 sockets x 8
+// cores x 2 SMT slots) holding seven 4-thread jobs, 28 of its 32 hardware
+// threads. Pairs of jobs share cores through SMT, two jobs pack two threads
+// per core, and one spans both sockets.
+void BM_PredictJointMachine(benchmark::State& state) {
+  static const eval::Pipeline pipeline("x3-2");
+  const MachineTopology& topo = pipeline.machine().topology();
+  const auto cores = [&](const std::vector<std::pair<int, int>>& counts) {
+    std::vector<uint8_t> per_core(static_cast<size_t>(topo.NumCores()), 0);
+    for (const auto& [core, threads] : counts) {
+      per_core[static_cast<size_t>(core)] = static_cast<uint8_t>(threads);
+    }
+    return Placement(topo, std::move(per_core));
+  };
+  static const struct {
+    const char* workload;
+    std::vector<std::pair<int, int>> cores;  // (core, threads)
+  } kJobs[] = {
+      {"CG", {{0, 1}, {1, 1}, {2, 1}, {3, 1}}},
+      {"Swim", {{0, 1}, {1, 1}, {2, 1}, {3, 1}}},
+      {"MD", {{8, 1}, {9, 1}, {10, 1}, {11, 1}}},
+      {"FT", {{8, 1}, {9, 1}, {10, 1}, {11, 1}}},
+      {"EP", {{4, 2}, {5, 2}}},
+      {"IS", {{12, 2}, {13, 2}}},
+      {"BT", {{6, 1}, {7, 1}, {14, 1}, {15, 1}}},
+  };
+  static const std::vector<WorkloadDescription> descriptions = [] {
+    std::vector<WorkloadDescription> profiled;
+    for (const auto& job : kJobs) {
+      profiled.push_back(pipeline.Profile(workloads::ByName(job.workload)));
+    }
+    return profiled;
+  }();
+  std::vector<CoScheduleRequest> requests;
+  for (size_t j = 0; j < std::size(kJobs); ++j) {
+    requests.push_back({&descriptions[j], cores(kJobs[j].cores)});
+  }
+  const CoSchedulePredictor engine(pipeline.description());
+  CoSchedulePrediction joint;
+  for (auto _ : state) {
+    engine.PredictInto(requests, &joint);
+    benchmark::DoNotOptimize(joint.jobs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PredictJointMachine);
 
 void BM_FindBestPlacementSampled(benchmark::State& state) {
   OptimizerOptions options;

@@ -9,17 +9,9 @@ namespace pandia {
 
 std::vector<double> MachineDescription::Capacities(
     const std::vector<uint8_t>& threads_per_core) const {
+  PANDIA_CHECK(static_cast<int>(threads_per_core.size()) == topo.NumCores());
   const ResourceIndex index(topo);
   std::vector<double> caps(static_cast<size_t>(index.Count()), 0.0);
-  CapacitiesInto(threads_per_core, index, caps);
-  return caps;
-}
-
-void MachineDescription::CapacitiesInto(std::span<const uint8_t> threads_per_core,
-                                        const ResourceIndex& index,
-                                        std::span<double> caps) const {
-  PANDIA_CHECK(static_cast<int>(threads_per_core.size()) == topo.NumCores());
-  PANDIA_CHECK(static_cast<int>(caps.size()) == index.Count());
   for (int c = 0; c < topo.NumCores(); ++c) {
     caps[index.Core(c)] = threads_per_core[c] >= 2 ? smt_combined_ops : core_ops;
     caps[index.L1(c)] = l1_bw;
@@ -35,6 +27,7 @@ void MachineDescription::CapacitiesInto(std::span<const uint8_t> threads_per_cor
       caps[index.Link(a, b)] = link_bw;
     }
   }
+  return caps;
 }
 
 Status MachineDescription::Validate() const {

@@ -10,7 +10,6 @@
 #define PANDIA_SRC_MACHINE_DESC_MACHINE_DESCRIPTION_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -36,12 +35,6 @@ struct MachineDescription {
   // the given per-core thread counts (cores running two threads use the
   // measured SMT-combined rate).
   std::vector<double> Capacities(const std::vector<uint8_t>& threads_per_core) const;
-
-  // Allocation-free variant for the predictor's solver hot path: fills
-  // `caps` (size index.Count()) with bit-identical values to Capacities().
-  // `index` must be built from this description's topology.
-  void CapacitiesInto(std::span<const uint8_t> threads_per_core,
-                      const ResourceIndex& index, std::span<double> caps) const;
 
   // Plausibility check for descriptions arriving from outside the process
   // (stored files, user edits): topology dimensions positive, every

@@ -7,17 +7,39 @@
 // already-seen shape allocates nothing. Results are byte-identical to the
 // retained reference implementation (tests/reference_solver.cc);
 // the equivalence property test (tests/solver_equivalence_test.cc) pins
-// this down across all four paper machines and an edge-case corpus.
+// this down across all four paper machines, every canonical x3-2
+// placement, random joint schedules and an edge-case corpus.
+//
+// The solver iterates over thread classes, not threads. A class is the
+// threads of one job on one socket whose cores have the same composition
+// (every job's thread count on the core). By induction over iterations its
+// threads hold the same utilization: their cores carry the same per-core
+// loads and capacities, they share one demand tail, and every step maps
+// equal operands to equal results. So each class keeps one utilization,
+// one resource slowdown, one set of penalties and one bottleneck plane,
+// and one socket's cores of one composition (a core group) accumulate
+// their four per-core planes once. Classes are found once per solve by
+// refining the occupied cores job by job. A solo job is the one-job case:
+// its classes are (socket, threads on the core).
+//
+// Three sums stay per thread, because floating-point addition is not
+// associative and the reference adds one term per thread in thread order:
+// each tail resource's load (several threads, often of several classes,
+// feed it), step 2's total and per-socket work, and AssembleJob's harmonic
+// sum. They walk segments, the runs of consecutive threads of one class,
+// adding the class's term once per thread. A per-core plane sums too, but
+// a core holds one class of each job and the jobs add in job order, so the
+// group's sum is each core's sum. The PredictionTrace hook expands classes
+// to threads only when a trace is attached.
 //
 // The demand layout exploits the model's structure: a thread's demand list
 // is a fixed-width per-core part (core issue, L1, L2, L3 port — rates
 // shared by the whole job) followed by a per-(job, socket) tail (L3
 // aggregate, DRAM, interconnect — identical for all of the job's threads
-// on that socket). Assembly therefore does per-thread work proportional to
-// 4, not to the full demand list, and the bottleneck scan reuses one
-// (max, argmax) per tail for every thread sharing it — exact, because the
-// reference's scan is a strict-> first-wins argmax and the tail entries
-// come last in its demand order.
+// on that socket). The bottleneck scan reuses one (max, argmax) per tail
+// for every class sharing it — exact, because the reference's scan is a
+// strict-> first-wins argmax and the tail entries come last in its demand
+// order.
 //
 // Further recompute-avoidance, all bit-exact against the reference:
 //   * contention factors load/caps are divided out inline and only when
@@ -30,12 +52,12 @@
 //   * the communication step is skipped for single-socket jobs (all its
 //     terms are exactly +0.0) and the §5.4 clamp pass is skipped when no
 //     slowdown falls outside [1, ceiling] (every clamp is the identity);
-//   * capacities are memoized on their exact inputs (topology dims +
-//     capacity scalars + SMT mask), the per-solve sizing pass is skipped
+//   * capacities are MachineDescription::Capacities' scalars, read per
+//     core group and per tail entry; the per-solve sizing pass is skipped
 //     when the problem shape matches the previous solve, and only the
 //     previous solve's touched load entries are re-zeroed.
 //
-// The per-thread loops run job-major (hoisting each job's rates, masks and
+// The per-class loops run job-major (hoisting each job's rates, masks and
 // model constants out of the inner loop) over __restrict-qualified raw
 // pointers — the scratch buffers never alias, but without the qualifier
 // every store to a double array forces the compiler to reload every other
@@ -93,6 +115,7 @@ struct SolverMetrics {
 // cannot change its value: the merge is pure selection, and the NaN-skip
 // semantics match (std::max(worst, q) keeps worst when q is NaN; so does
 // _mm_max_pd(q, acc), which returns acc when the comparison is unordered).
+// For the same reason the maximum over classes is the maximum over threads.
 inline double MaxRelativeDelta(const double* __restrict s,
                                const double* __restrict p, int n) {
   double worst = 0.0;
@@ -117,6 +140,33 @@ inline double MaxRelativeDelta(const double* __restrict s,
     worst = std::max(worst, std::fabs(s[t] - pv) / s[t]);
   }
   return worst;
+}
+
+// The per-core demand planes, in the reference's demand order: core issue,
+// L1, L2, L3 port. Plane k of core c is resource k * num_cores + c.
+constexpr int kCorePlanes = 4;
+
+// A thread's bottleneck resource from its class's: a core plane names that
+// plane of the thread's own core; a tail resource (>= 4 * num_cores) and -1
+// (no oversubscribed resource) stay as they are.
+inline int ThreadBottleneck(int class_bottleneck, int core, int num_cores) {
+  return class_bottleneck >= 0 && class_bottleneck < kCorePlanes
+             ? class_bottleneck * num_cores + core
+             : class_bottleneck;
+}
+
+// Calls visit(core, slot, class) once per thread of job j, in thread order
+// (cores in index order, SMT slots in order), as Placement::ThreadLocations
+// lists them.
+template <typename Visit>
+inline void ForEachThread(const SolverScratch& s, size_t j, Visit&& visit) {
+  for (int32_t i = s.job_first_touch[j]; i < s.job_first_touch[j + 1]; ++i) {
+    const int32_t core = s.touched_cores[i];
+    const int32_t cls = s.touched_class[i];
+    for (int32_t slot = 0; slot < s.class_core_threads[cls]; ++slot) {
+      visit(core, slot, cls);
+    }
+  }
 }
 
 }  // namespace
@@ -185,10 +235,11 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
   const int num_cores = topo.NumCores();
   const int num_sockets = topo.num_sockets;
   const int cores_per_socket = topo.cores_per_socket;
+  // A job holds 0..threads_per_core threads on a core.
+  const int counts_per_core = topo.threads_per_core + 1;
   const size_t num_jobs = jobs.size();
   const size_t num_resources = static_cast<size_t>(index_.Count());
 
-  // --- Assemble jobs and threads into the scratch arena's SoA layout ---
   int n_total = 0;
   for (const SolverJobRef& job : jobs) {
     PANDIA_CHECK(job.workload != nullptr);
@@ -202,18 +253,40 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
   }
 
   // Sizing pass — skipped entirely when the problem shape matches the
-  // previous solve (the steady state for rankings and benchmarks).
+  // previous solve (the steady state for rankings and benchmarks). Every
+  // buffer is sized to its bound here, so a solve never grows one later:
+  // classes, segments and (job, core) pairs are each at most the thread
+  // count, and core groups at most the core count.
   const size_t n = static_cast<size_t>(n_total);
+  const size_t cores = static_cast<size_t>(num_cores);
   const size_t num_tails = num_jobs * static_cast<size_t>(num_sockets);
   const size_t max_tail = 1 + 2 * static_cast<size_t>(num_sockets);
   if (s.shape_jobs != static_cast<int64_t>(num_jobs) ||
       s.shape_threads != n_total || s.shape_cores != num_cores ||
       s.shape_sockets != num_sockets ||
+      s.shape_threads_per_core != topo.threads_per_core ||
       s.shape_resources != static_cast<int64_t>(num_resources)) {
-    s.Size(s.combined_per_core, static_cast<size_t>(num_cores));
+    s.Size(s.class_socket, n);
+    s.Size(s.class_group, n);
+    s.Size(s.class_core_threads, n);
+    s.Size(s.class_opens_group, n);
+    s.Size(s.class_f, n);
+    s.Size(s.s_overall, n);
+    s.Size(s.s_prev, n);
+    s.Size(s.s_resource, n);
+    s.Size(s.comm_penalty, n);
+    s.Size(s.balance_penalty, n);
+    s.Size(s.bottleneck, n);
+    s.Size(s.touched_cores, n);
+    s.Size(s.touched_socket, n);
+    s.Size(s.touched_class, n);
+    s.Size(s.segment_class, n);
+    s.Size(s.segment_threads, n);
 
-    s.Size(s.job_first_thread, num_jobs);
     s.Size(s.job_num_threads, num_jobs);
+    s.Size(s.job_first_touch, num_jobs + 1);
+    s.Size(s.job_first_class, num_jobs + 1);
+    s.Size(s.job_first_segment, num_jobs + 1);
     s.Size(s.job_amdahl, num_jobs);
     s.Size(s.job_f_initial, num_jobs);
     s.Size(s.job_os, num_jobs);
@@ -223,77 +296,65 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     s.Size(s.job_core_rates, 4 * num_jobs);
     s.Size(s.job_core_mask, 4 * num_jobs);
 
-    s.Size(s.thread_socket, n);
-    s.Size(s.thread_core, n);
-    s.Size(s.thread_slot, n);
-    s.Size(s.remote_peers, n);
-    s.Size(s.f_start, n);
-    s.Size(s.s_overall, n);
-    s.Size(s.s_prev, n);
-    s.Size(s.s_resource, n);
-    s.Size(s.comm_penalty, n);
-    s.Size(s.balance_penalty, n);
-    s.Size(s.bottleneck, n);
-
-    s.Size(s.active_sockets, static_cast<size_t>(num_sockets));
-    s.Size(s.job_socket_threads, static_cast<size_t>(num_sockets));
-    s.Size(s.socket_work, static_cast<size_t>(num_sockets));
-    s.Size(s.memory_weights, static_cast<size_t>(num_sockets));
-
     s.Size(s.tail_offset, num_tails + 1);
     s.Size(s.tail_res, num_tails * max_tail);
     s.Size(s.tail_rate, num_tails * max_tail);
+    s.Size(s.tail_cap, num_tails * max_tail);
+    s.Size(s.tail_threads, num_tails);
     s.Size(s.tail_max, num_tails);
     s.Size(s.tail_arg, num_tails);
 
+    s.Size(s.group_load, kCorePlanes * cores);
+    s.Size(s.group_caps, kCorePlanes * cores);
+    s.Size(s.group_shared, cores);
+    s.Size(s.class_of_group, cores);
+    s.Size(s.occupied_core, cores);
+    s.Size(s.occupied_group, cores);
+    s.Size(s.core_group, cores);
+    // Refinement's parents are sockets or groups, both at most the cores.
+    s.Size(s.refine_next, cores * static_cast<size_t>(counts_per_core));
+
     s.Size(s.load, num_resources);
-    s.Size(s.core_load, 4 * static_cast<size_t>(num_cores));
+    s.Size(s.combined_per_core, cores);
+    s.Size(s.socket_work, static_cast<size_t>(num_sockets));
+    s.Size(s.active_sockets, static_cast<size_t>(num_sockets));
+    s.Size(s.memory_weights, static_cast<size_t>(num_sockets));
     s.Size(s.resource_seen, num_resources);
     s.Size(s.resource_touched, num_tails * max_tail);
-    // Each occupied (job, core) pair has at least one thread, so n bounds
-    // the touched-core list.
-    s.Size(s.touched_cores, n);
 
     s.shape_jobs = static_cast<int64_t>(num_jobs);
     s.shape_threads = n_total;
     s.shape_cores = num_cores;
     s.shape_sockets = num_sockets;
+    s.shape_threads_per_core = topo.threads_per_core;
     s.shape_resources = static_cast<int64_t>(num_resources);
 
-    // The previous touched lists may index differently-sized load arrays;
+    // The previous touched lists may index a differently-sized load array;
     // re-establish the "zero outside the touched set" invariant wholesale.
     s.num_touched = 0;
-    s.num_touched_cores = 0;
+    s.num_occupied = 0;
     std::fill(s.load.begin(), s.load.end(), 0.0);
-    std::fill(s.core_load.begin(), s.core_load.end(), 0.0);
   } else {
-    // Invariant: load[] and core_load[] are all-zero outside the previous
-    // solve's touched set. Zero those stale entries instead of the whole
-    // resource vector; this solve's touched entries are zeroed at the top
-    // of each iteration (and, for `load`'s core planes, written once at
-    // the final export).
+    // Invariant: load[] is all-zero outside the previous solve's touched
+    // tail resources and occupied cores' planes. Zero those stale entries
+    // instead of the whole resource vector; this solve's tail entries are
+    // zeroed at the top of each iteration, and its cores' planes written
+    // once at the final export.
     double* const load = s.load.data();
     for (int32_t i = 0; i < s.num_touched; ++i) {
       load[s.resource_touched[i]] = 0.0;
     }
-    double* const core_load = s.core_load.data();
-    for (int32_t i = 0; i < s.num_touched_cores; ++i) {
-      const int32_t core = s.touched_cores[i];
-      core_load[4 * core] = 0.0;
-      core_load[4 * core + 1] = 0.0;
-      core_load[4 * core + 2] = 0.0;
-      core_load[4 * core + 3] = 0.0;
-      load[core] = 0.0;
-      load[num_cores + core] = 0.0;
-      load[2 * num_cores + core] = 0.0;
-      load[3 * num_cores + core] = 0.0;
+    for (int32_t i = 0; i < s.num_occupied; ++i) {
+      const int32_t core = s.occupied_core[i];
+      for (int k = 0; k < kCorePlanes; ++k) {
+        load[k * num_cores + core] = 0.0;
+      }
     }
   }
 
-  if (num_jobs == 1) {
-    const std::vector<uint8_t>& per_core = jobs[0].placement->PerCore();
-    std::copy(per_core.begin(), per_core.end(), s.combined_per_core.begin());
-  } else {
+  // Every job's threads per core; a solo job's own counts serve as is.
+  const uint8_t* combined = jobs[0].placement->PerCore().data();
+  if (num_jobs > 1) {
     std::fill(s.combined_per_core.begin(), s.combined_per_core.end(),
               static_cast<uint8_t>(0));
     for (const SolverJobRef& job : jobs) {
@@ -303,26 +364,28 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
             static_cast<uint8_t>(s.combined_per_core[c] + per_core[c]);
       }
     }
+    combined = s.combined_per_core.data();
   }
 
   // Distinct touched resources, marked by epoch so no per-solve clear is
-  // needed; the marking is fused into the thread expansion below.
+  // needed; the marking follows the tail construction below.
   if (++s.seen_epoch == 0) {
     std::fill(s.resource_seen.begin(), s.resource_seen.end(), 0u);
     s.seen_epoch = 1;
   }
   const uint32_t epoch = s.seen_epoch;
   int32_t num_touched = 0;
-  int32_t num_touched_cores = 0;
 
-  int t_index = 0;
+  // --- Jobs: model constants, occupied cores and demand tails ---
   int32_t tail_index = 0;
+  int32_t num_touched_cores = 0;
+  int first_core = num_cores;  // span of the cores any job occupies
+  int last_core = -1;
   for (size_t r = 0; r < num_jobs; ++r) {
     const WorkloadDescription& workload = *jobs[r].workload;
     const Placement& placement = *jobs[r].placement;
     const std::vector<uint8_t>& per_core = placement.PerCore();
     const int num_threads = placement.TotalThreads();
-    s.job_first_thread[r] = t_index;
     s.job_num_threads[r] = num_threads;
     const double p = workload.parallel_fraction;
     PANDIA_CHECK(p >= 0.0 && p <= 1.0);
@@ -346,13 +409,15 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
       mask[k] = positive ? 1 : 0;
     }
 
-    // Deterministic thread expansion (cores in index order, SMT slots in
-    // order) — mirrors Placement::ThreadLocations without allocating.
-    // Socket-major iteration keeps the same global core order while
-    // avoiding a core->socket integer division per core.
+    // The job's occupied cores in thread order (cores in index order) —
+    // Placement::ThreadLocations' order without allocating. Socket-major
+    // iteration keeps the same global core order while avoiding a
+    // core->socket integer division per core.
     std::fill(s.active_sockets.begin(), s.active_sockets.end(),
               static_cast<uint8_t>(0));
-    std::fill(s.job_socket_threads.begin(), s.job_socket_threads.end(), 0);
+    int32_t* const socket_threads = &s.tail_threads[r * num_sockets];
+    std::fill_n(socket_threads, num_sockets, 0);
+    s.job_first_touch[r] = num_touched_cores;
     int home_socket = -1;
     int sockets_used = 0;
     int remaining = num_threads;
@@ -372,23 +437,22 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
           s.active_sockets[socket] = 1;
           ++sockets_used;
         }
-        s.job_socket_threads[socket] += count;
-        s.touched_cores[num_touched_cores++] = core;
-        for (int slot = 0; slot < count; ++slot) {
-          s.thread_socket[t_index] = socket;
-          s.thread_core[t_index] = core;
-          s.thread_slot[t_index] = slot;
-          ++t_index;
-        }
+        socket_threads[socket] += count;
+        s.touched_cores[num_touched_cores] = core;
+        s.touched_socket[num_touched_cores++] = socket;
       }
     }
     s.job_single_socket[r] = sockets_used <= 1 ? 1 : 0;
+    if (num_touched_cores > s.job_first_touch[r]) {
+      first_core = std::min(first_core, s.touched_cores[s.job_first_touch[r]]);
+      last_core = std::max(last_core, s.touched_cores[num_touched_cores - 1]);
+    }
 
     // Per-(job, socket) demand tails, entries in the reference's demand
-    // order (L3Agg, then DRAM/link per memory node). Zero-rate entries are
-    // excluded, exactly as the reference excludes them — a zero-rate entry
-    // must not join the bottleneck scan, since another job can oversubscribe
-    // the same resource.
+    // order (L3Agg, then DRAM/link per memory node), each with its
+    // capacity. Zero-rate entries are excluded, exactly as the reference
+    // excludes them — a zero-rate entry must not join the bottleneck scan,
+    // since another job can oversubscribe the same resource.
     const double dram_total = d.dram_total_bw();
     for (int socket = 0; socket < num_sockets; ++socket) {
       s.tail_offset[r * num_sockets + socket] = tail_index;
@@ -397,7 +461,8 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
       }
       if (d.l3_bw > 0.0) {
         s.tail_res[tail_index] = index_.L3Agg(socket);
-        s.tail_rate[tail_index++] = d.l3_bw;
+        s.tail_rate[tail_index] = d.l3_bw;
+        s.tail_cap[tail_index++] = machine_.l3_agg_bw;
       }
       if (dram_total > 0.0) {
         MemoryNodeWeightsInto(workload.memory_policy, num_sockets, s.active_sockets,
@@ -408,25 +473,18 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
             continue;
           }
           s.tail_res[tail_index] = index_.Dram(m);
-          s.tail_rate[tail_index++] = dram_total * s.memory_weights[m];
+          s.tail_rate[tail_index] = dram_total * s.memory_weights[m];
+          s.tail_cap[tail_index++] = machine_.dram_bw;
           if (m != socket) {
             s.tail_res[tail_index] = index_.Link(socket, m);
-            s.tail_rate[tail_index++] = dram_total * s.memory_weights[m];
+            s.tail_rate[tail_index] = dram_total * s.memory_weights[m];
+            s.tail_cap[tail_index++] = machine_.link_bw;
           }
         }
       }
     }
-
-    // Same-job peers on other sockets — only the communication step reads
-    // these, and it only runs for multi-socket jobs with os > 0.
-    if (s.job_os[r] > 0.0 && s.job_single_socket[r] == 0) {
-      for (int t = s.job_first_thread[r]; t < t_index; ++t) {
-        s.remote_peers[t] =
-            static_cast<int32_t>(num_threads - s.job_socket_threads[s.thread_socket[t]]);
-      }
-    }
   }
-  PANDIA_CHECK(t_index == n_total);
+  s.job_first_touch[num_jobs] = num_touched_cores;
   s.tail_offset[num_tails] = tail_index;
   for (int32_t d = 0; d < tail_index; ++d) {
     const int32_t res = s.tail_res[d];
@@ -436,42 +494,105 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     }
   }
   s.num_touched = num_touched;
-  s.num_touched_cores = num_touched_cores;
 
-  // Capacities: a pure function of the topology dims, the eight capacity
-  // scalars, and the per-core SMT mask — skip the rebuild when none changed.
-  const double caps_scalars[8] = {machine_.core_ops,   machine_.smt_combined_ops,
-                                  machine_.l1_bw,      machine_.l2_bw,
-                                  machine_.l3_port_bw, machine_.l3_agg_bw,
-                                  machine_.dram_bw,    machine_.link_bw};
-  const bool caps_valid =
-      s.caps.size() == num_resources &&
-      s.caps_key_dims[0] == topo.num_sockets &&
-      s.caps_key_dims[1] == topo.cores_per_socket &&
-      s.caps_key_dims[2] == topo.threads_per_core &&
-      std::equal(caps_scalars, caps_scalars + 8, s.caps_key_scalars) &&
-      s.caps_key_mask.size() == s.combined_per_core.size() &&
-      std::equal(s.combined_per_core.begin(), s.combined_per_core.end(),
-                 s.caps_key_mask.begin());
-  if (!caps_valid) {
-    s.Size(s.caps, num_resources);
-    machine_.CapacitiesInto(s.combined_per_core, index_, s.caps);
-    // Core-major mirror of the four per-core capacity planes, matching
-    // core_load's layout.
-    s.Size(s.caps4, 4 * static_cast<size_t>(num_cores));
-    for (int core = 0; core < num_cores; ++core) {
-      for (int k = 0; k < 4; ++k) {
-        s.caps4[4 * core + k] = s.caps[k * num_cores + core];
+  // --- Core groups: refine the occupied cores job by job ---
+  // Every occupied core, once and in core order, starts in its socket's
+  // group. After job r, two cores share a group iff they shared one before
+  // and job r holds as many threads on both; refine_next hands out the
+  // new dense ids, so the final ids are exactly the groups.
+  int32_t num_occupied = 0;
+  for (int socket = 0; socket * cores_per_socket <= last_core; ++socket) {
+    const int end = std::min(last_core + 1, (socket + 1) * cores_per_socket);
+    for (int core = std::max(first_core, socket * cores_per_socket); core < end; ++core) {
+      if (combined[core] != 0) {
+        s.occupied_core[num_occupied] = core;
+        s.occupied_group[num_occupied] = socket;
+        ++num_occupied;
       }
     }
-    s.caps_key_dims[0] = topo.num_sockets;
-    s.caps_key_dims[1] = topo.cores_per_socket;
-    s.caps_key_dims[2] = topo.threads_per_core;
-    std::copy(caps_scalars, caps_scalars + 8, s.caps_key_scalars);
-    s.Size(s.caps_key_mask, s.combined_per_core.size());
-    std::copy(s.combined_per_core.begin(), s.combined_per_core.end(),
-              s.caps_key_mask.begin());
   }
+  int32_t num_groups = num_sockets;
+  int32_t* const refine_next = s.refine_next.data();
+  for (size_t r = 0; r < num_jobs; ++r) {
+    const uint8_t* const per_core = jobs[r].placement->PerCore().data();
+    std::fill_n(refine_next, num_groups * counts_per_core, -1);
+    int32_t next = 0;
+    for (int32_t i = 0; i < num_occupied; ++i) {
+      int32_t& child =
+          refine_next[s.occupied_group[i] * counts_per_core + per_core[s.occupied_core[i]]];
+      if (child < 0) {
+        child = next++;
+      }
+      s.occupied_group[i] = child;
+    }
+    num_groups = next;
+  }
+  s.num_occupied = num_occupied;
+  s.num_groups = num_groups;
+  // A group's plane capacities, as MachineDescription::Capacities sets
+  // them: only the issue plane depends on the core, through whether it
+  // holds two threads or more. Cores of one group write the same values.
+  int32_t* const class_of_group = s.class_of_group.data();
+  for (int32_t i = 0; i < num_occupied; ++i) {
+    const int32_t core = s.occupied_core[i];
+    const int32_t group = s.occupied_group[i];
+    s.core_group[core] = group;
+    class_of_group[group] = -1;
+    const bool shared = combined[core] > 1;
+    s.group_shared[group] = shared ? 1 : 0;
+    double* const caps = &s.group_caps[kCorePlanes * group];
+    caps[0] = shared ? machine_.smt_combined_ops : machine_.core_ops;
+    caps[1] = machine_.l1_bw;
+    caps[2] = machine_.l2_bw;
+    caps[3] = machine_.l3_port_bw;
+  }
+
+  // --- Classes and segments, in thread order ---
+  // Classes are job-major: a job's first core in a group opens its class
+  // there, so a class id below the job's first is an earlier job's. The
+  // first class of a group (the lowest job's) starts the group's plane sums
+  // at each iteration. §5.4: every class starts from its job's Amdahl
+  // utilization. Step 2 writes the penalties of multi-socket jobs with
+  // os > 0 at every iteration; every other class's stays the reference's
+  // +0.0.
+  int32_t num_classes = 0;
+  int32_t num_segments = 0;
+  for (size_t r = 0; r < num_jobs; ++r) {
+    const uint8_t* const per_core = jobs[r].placement->PerCore().data();
+    const int32_t first_class = num_classes;
+    const int32_t first_segment = num_segments;
+    s.job_first_class[r] = first_class;
+    s.job_first_segment[r] = first_segment;
+    for (int32_t i = s.job_first_touch[r]; i < s.job_first_touch[r + 1]; ++i) {
+      const int32_t core = s.touched_cores[i];
+      const int32_t count = per_core[core];
+      const int32_t group = s.core_group[core];
+      int32_t cls = class_of_group[group];
+      if (cls < first_class) {
+        const bool opens_group = cls < 0;
+        cls = num_classes++;
+        class_of_group[group] = cls;
+        s.class_opens_group[cls] = opens_group ? 1 : 0;
+        s.class_group[cls] = group;
+        s.class_core_threads[cls] = count;
+        s.class_socket[cls] = s.touched_socket[i];
+        s.class_f[cls] = s.job_f_initial[r];
+        s.comm_penalty[cls] = 0.0;
+      }
+      s.touched_class[i] = cls;
+      if (num_segments > first_segment && s.segment_class[num_segments - 1] == cls) {
+        s.segment_threads[num_segments - 1] += count;
+      } else {
+        s.segment_class[num_segments] = cls;
+        s.segment_threads[num_segments] = count;
+        ++num_segments;
+      }
+    }
+  }
+  s.job_first_class[num_jobs] = num_classes;
+  s.job_first_segment[num_jobs] = num_segments;
+  s.num_classes = num_classes;
+  s.num_segments = num_segments;
 
   // --- Iterative joint model (§5, generalized over jobs) ---
   // s_overall needs no initialization: step 1 overwrites every entry, and
@@ -480,29 +601,6 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
   bool any_comm = false;
   for (size_t j = 0; j < num_jobs; ++j) {
     any_comm |= s.job_os[j] > 0.0 && s.job_single_socket[j] == 0;
-  }
-  if (!any_comm) {
-    // Step 2 never runs; the per-thread comm penalties the assembly reads
-    // are all zero (the reference writes the same zeros every iteration).
-    // The flag makes the fill once-per-arena: vector resizing preserves
-    // zero contents (shrink keeps the prefix, growth value-initializes), so
-    // a true flag stays valid across shape changes.
-    if (!s.comm_penalty_zeroed) {
-      std::fill(s.comm_penalty.begin(), s.comm_penalty.end(), 0.0);
-      s.comm_penalty_zeroed = true;
-    }
-  } else {
-    s.comm_penalty_zeroed = false;
-  }
-
-  // §5.4: every thread starts from its job's Amdahl utilization.
-  for (size_t j = 0; j < num_jobs; ++j) {
-    const double f_initial = s.job_f_initial[j];
-    const int first = s.job_first_thread[j];
-    const int last = first + s.job_num_threads[j];
-    for (int t = first; t < last; ++t) {
-      s.f_start[t] = f_initial;
-    }
   }
 
   double slowdown_ceiling = 0.0;
@@ -515,23 +613,30 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
   // qualifier lets the compiler keep values live across stores to the
   // double arrays instead of reloading after every write.
   double* __restrict const load = s.load.data();
-  double* __restrict const core_load = s.core_load.data();
-  const double* __restrict const caps = s.caps.data();
-  const double* __restrict const caps4 = s.caps4.data();
+  double* __restrict const group_load = s.group_load.data();
+  const double* __restrict const group_caps = s.group_caps.data();
+  const uint8_t* __restrict const group_shared = s.group_shared.data();
   const int32_t* __restrict const touched = s.resource_touched.data();
-  const int32_t* __restrict const tcores = s.touched_cores.data();
   const int32_t* __restrict const t_off = s.tail_offset.data();
   const int32_t* __restrict const t_res = s.tail_res.data();
   const double* __restrict const t_rate = s.tail_rate.data();
-  const int32_t* __restrict const thread_socket = s.thread_socket.data();
-  const int32_t* __restrict const thread_core = s.thread_core.data();
-  double* __restrict const f_start = s.f_start.data();
+  const double* __restrict const t_cap = s.tail_cap.data();
+  const int32_t* __restrict const class_socket = s.class_socket.data();
+  const int32_t* __restrict const class_group = s.class_group.data();
+  const int32_t* __restrict const class_core_threads = s.class_core_threads.data();
+  const uint8_t* __restrict const class_opens_group = s.class_opens_group.data();
+  const int32_t* __restrict const segment_class = s.segment_class.data();
+  const int32_t* __restrict const segment_threads = s.segment_threads.data();
+  const int32_t* __restrict const job_first_class = s.job_first_class.data();
+  const int32_t* __restrict const job_first_segment = s.job_first_segment.data();
+  double* __restrict const class_f = s.class_f.data();
   double* __restrict const s_resource = s.s_resource.data();
+  double* __restrict const comm_penalty = s.comm_penalty.data();
   double* __restrict const balance_penalty = s.balance_penalty.data();
   int* __restrict const bottleneck = s.bottleneck.data();
   double* __restrict const tail_max = s.tail_max.data();
   int32_t* __restrict const tail_arg = s.tail_arg.data();
-  const uint8_t* __restrict const combined = s.combined_per_core.data();
+  double* __restrict const socket_work = s.socket_work.data();
 
   for (int iter = 0; iter < max_iterations; ++iter) {
     const obs::TraceSpan iteration_span("predict.iteration", iter + 1);
@@ -543,41 +648,55 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     double* __restrict const s_overall = s.s_overall.data();
 
     // Step 1: resource contention, including cross-job load (§5.1).
-    // Accumulation runs per thread in the reference's demand order; adding
-    // a zero-rate core term contributes exactly +0.0 and is a bitwise
-    // no-op, so the four core adds run unconditionally. The per-core planes
-    // accumulate into the contiguous core-major mirror; the tails
-    // accumulate into the resource vector directly.
-    for (int32_t i = 0; i < num_touched; ++i) {
-      load[touched[i]] = 0.0;
-    }
-    for (int32_t i = 0; i < num_touched_cores; ++i) {
-      double* const cl = &core_load[4 * tcores[i]];
-      cl[0] = 0.0;
-      cl[1] = 0.0;
-      cl[2] = 0.0;
-      cl[3] = 0.0;
-    }
+    // Each group's per-core planes: every core of the group holds
+    // class_core_threads of each of its classes' jobs, and those add in job
+    // order, one term per thread, as the reference adds a core's threads.
+    // Adding a zero-rate core term contributes exactly +0.0 and is a
+    // bitwise no-op, so the four plane adds run unconditionally.
     for (size_t j = 0; j < num_jobs; ++j) {
       const double* const rates = &s.job_core_rates[4 * j];
       const double r0 = rates[0], r1 = rates[1], r2 = rates[2], r3 = rates[3];
-      const size_t tail_base = j * static_cast<size_t>(num_sockets);
-      const int first = s.job_first_thread[j];
-      const int last = first + s.job_num_threads[j];
-      for (int t = first; t < last; ++t) {
-        const double f = f_start[t];
-        double* const cl = &core_load[4 * thread_core[t]];
-        cl[0] += r0 * f;
-        cl[1] += r1 * f;
-        cl[2] += r2 * f;
-        cl[3] += r3 * f;
-        const size_t js = tail_base + thread_socket[t];
-        for (int32_t d = t_off[js]; d < t_off[js + 1]; ++d) {
-          load[t_res[d]] += t_rate[d] * f;
+      for (int32_t c = job_first_class[j]; c < job_first_class[j + 1]; ++c) {
+        const double f = class_f[c];
+        const double x0 = r0 * f, x1 = r1 * f, x2 = r2 * f, x3 = r3 * f;
+        double* const gl = &group_load[kCorePlanes * class_group[c]];
+        if (class_opens_group[c] != 0) {
+          gl[0] = 0.0;
+          gl[1] = 0.0;
+          gl[2] = 0.0;
+          gl[3] = 0.0;
+        }
+        for (int32_t k = 0; k < class_core_threads[c]; ++k) {
+          gl[0] += x0;
+          gl[1] += x1;
+          gl[2] += x2;
+          gl[3] += x3;
         }
       }
     }
-    // One (max, first-argmax) per tail, shared by every thread of that
+    // Tail loads accumulate in the resource vector one term per thread, in
+    // thread order: a run of m threads of one class adds its term m times.
+    for (int32_t i = 0; i < num_touched; ++i) {
+      load[touched[i]] = 0.0;
+    }
+    for (size_t j = 0; j < num_jobs; ++j) {
+      const size_t tail_base = j * static_cast<size_t>(num_sockets);
+      for (int32_t g = job_first_segment[j]; g < job_first_segment[j + 1]; ++g) {
+        const int32_t c = segment_class[g];
+        const int32_t threads = segment_threads[g];
+        const double f = class_f[c];
+        const size_t js = tail_base + class_socket[c];
+        for (int32_t d = t_off[js]; d < t_off[js + 1]; ++d) {
+          const double x = t_rate[d] * f;
+          double sum = load[t_res[d]];
+          for (int32_t k = 0; k < threads; ++k) {
+            sum += x;
+          }
+          load[t_res[d]] = sum;
+        }
+      }
+    }
+    // One (max, first-argmax) per tail, shared by every class of that
     // (job, socket), with the contention divide load/caps done inline and
     // only for oversubscribed entries: fl(load/caps) <= 1.0 otherwise,
     // which can never beat a merged scan whose running worst starts at
@@ -589,14 +708,13 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
       double mt = 0.0;
       int32_t arg = -1;
       for (int32_t d = t_off[js]; d < t_off[js + 1]; ++d) {
-        const int32_t res = t_res[d];
-        const double ld = load[res];
-        const double cp = caps[res];
+        const double ld = load[t_res[d]];
+        const double cp = t_cap[d];
         if (ld > cp) {
           const double fr = ld / cp;
           if (fr > mt) {
             mt = fr;
-            arg = res;
+            arg = t_res[d];
           }
         }
       }
@@ -609,106 +727,99 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
                  m3 = mask[3] != 0;
       const double b = s.job_b[j];
       const size_t tail_base = j * static_cast<size_t>(num_sockets);
-      const int first = s.job_first_thread[j];
-      const int last = first + s.job_num_threads[j];
-      for (int t = first; t < last; ++t) {
-        const int core = thread_core[t];
-        const double* const cl = &core_load[4 * core];
-        const double* const c4 = &caps4[4 * core];
+      for (int32_t c = job_first_class[j]; c < job_first_class[j + 1]; ++c) {
+        const int32_t group = class_group[c];
+        const double* const gl = &group_load[kCorePlanes * group];
+        const double* const c4 = &group_caps[kCorePlanes * group];
         double worst = 1.0;
-        int worst_resource = -1;
+        int worst_resource = -1;  // a core plane 0..3 or a tail resource
         // Contiguous any-oversubscribed check first; the full masked scan
         // (reference plane order, strict-> first-wins) only runs when some
         // plane is over capacity — in the common uncontended case this is
         // four compares on one cache line.
-        if (cl[0] > c4[0] || cl[1] > c4[1] || cl[2] > c4[2] || cl[3] > c4[3]) {
-          if (m0 && cl[0] > c4[0]) {
-            const double fr = cl[0] / c4[0];
+        if (gl[0] > c4[0] || gl[1] > c4[1] || gl[2] > c4[2] || gl[3] > c4[3]) {
+          if (m0 && gl[0] > c4[0]) {
+            const double fr = gl[0] / c4[0];
             if (fr > worst) {
               worst = fr;
-              worst_resource = core;
+              worst_resource = 0;
             }
           }
-          if (m1 && cl[1] > c4[1]) {
-            const double fr = cl[1] / c4[1];
+          if (m1 && gl[1] > c4[1]) {
+            const double fr = gl[1] / c4[1];
             if (fr > worst) {
               worst = fr;
-              worst_resource = num_cores + core;
+              worst_resource = 1;
             }
           }
-          if (m2 && cl[2] > c4[2]) {
-            const double fr = cl[2] / c4[2];
+          if (m2 && gl[2] > c4[2]) {
+            const double fr = gl[2] / c4[2];
             if (fr > worst) {
               worst = fr;
-              worst_resource = 2 * num_cores + core;
+              worst_resource = 2;
             }
           }
-          if (m3 && cl[3] > c4[3]) {
-            const double fr = cl[3] / c4[3];
+          if (m3 && gl[3] > c4[3]) {
+            const double fr = gl[3] / c4[3];
             if (fr > worst) {
               worst = fr;
-              worst_resource = 3 * num_cores + core;
+              worst_resource = 3;
             }
           }
         }
-        const size_t js = tail_base + thread_socket[t];
+        const size_t js = tail_base + class_socket[c];
         if (tail_max[js] > worst) {
           worst = tail_max[js];
           worst_resource = tail_arg[js];
         }
-        if (combined[core] > 1 && b > 0.0) {
-          worst *= 1.0 + b * f_start[t];
+        if (group_shared[group] != 0 && b > 0.0) {
+          worst *= 1.0 + b * class_f[c];
         }
-        s_resource[t] = worst;
-        bottleneck[t] = worst_resource;
-        s_overall[t] = worst;
+        s_resource[c] = worst;
+        bottleneck[c] = worst_resource;
+        s_overall[c] = worst;
       }
     }
 
     // Step 2: off-socket communication, within each job (§5.2). Single-
     // socket jobs are skipped: every term is exactly +0.0 (no remote peers,
     // remote_work cancels bitwise), so the reference's pass is the identity.
+    // The work sums add one term per thread in thread order; the penalty
+    // depends only on the class.
     if (any_comm) {
-      std::fill(s.comm_penalty.begin(), s.comm_penalty.end(), 0.0);
       for (size_t j = 0; j < num_jobs; ++j) {
         if (s.job_os[j] <= 0.0 || s.job_single_socket[j] != 0) {
           continue;
         }
-        const int first = s.job_first_thread[j];
-        const int last = first + s.job_num_threads[j];
+        const int num_threads = s.job_num_threads[j];
         const double os = s.job_os[j];
         const double l = s.job_l[j];
         const double f_initial = s.job_f_initial[j];
+        const size_t tail_base = j * static_cast<size_t>(num_sockets);
         double total_work = 0.0;
-        std::fill(s.socket_work.begin(), s.socket_work.end(), 0.0);
-        for (int t = first; t < last; ++t) {
-          const double inv = 1.0 / s_overall[t];
-          total_work += inv;
-          s.socket_work[thread_socket[t]] += inv;
-        }
-        // The communication term is constant per (job, socket): the remote
-        // peer count and the remote-work fraction depend only on the
-        // thread's socket. Threads are socket-sorted within a job (see the
-        // expansion above), so a one-entry cache recomputes it at most
-        // num_sockets times — from the same operands in the same order as
-        // the per-thread reference expression, hence the same bits.
-        int cur_socket = -1;
-        double comm = 0.0;
-        for (int t = first; t < last; ++t) {
-          const int socket = thread_socket[t];
-          if (socket != cur_socket) {
-            cur_socket = socket;
-            const double lockstep = os * s.remote_peers[t];
-            const double remote_work = total_work - s.socket_work[socket];
-            const double independent =
-                s.job_num_threads[j] * os * (remote_work / total_work);
-            comm = l * independent + (1.0 - l) * lockstep;
+        std::fill_n(socket_work, num_sockets, 0.0);
+        for (int32_t g = job_first_segment[j]; g < job_first_segment[j + 1]; ++g) {
+          const int32_t c = segment_class[g];
+          const double inv = 1.0 / s_overall[c];
+          double work = socket_work[class_socket[c]];
+          for (int32_t k = 0; k < segment_threads[g]; ++k) {
+            total_work += inv;
+            work += inv;
           }
+          socket_work[class_socket[c]] = work;
+        }
+        for (int32_t c = job_first_class[j]; c < job_first_class[j + 1]; ++c) {
+          const int socket = class_socket[c];
+          const double lockstep =
+              os * (num_threads - s.tail_threads[tail_base + socket]);
+          const double remote_work = total_work - socket_work[socket];
+          const double independent = num_threads * os * (remote_work / total_work);
+          const double comm = l * independent + (1.0 - l) * lockstep;
           // The reference reads the step-1 utilization here; computing it in
           // place from the same operands yields the same bits.
-          const double penalty = comm * (f_initial / s_overall[t]);
-          s.comm_penalty[t] = penalty;
-          s_overall[t] += penalty;
+          const double penalty = comm * (f_initial / s_overall[c]);
+          comm_penalty[c] = penalty;
+          s_overall[c] += penalty;
         }
       }
     }
@@ -720,17 +831,17 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     double global_min = std::numeric_limits<double>::infinity();
     for (size_t j = 0; j < num_jobs; ++j) {
       const double l = s.job_l[j];
-      const int first = s.job_first_thread[j];
-      const int last = first + s.job_num_threads[j];
+      const int32_t first = job_first_class[j];
+      const int32_t last = job_first_class[j + 1];
       double s_max = 0.0;
-      for (int t = first; t < last; ++t) {
-        s_max = std::max(s_max, s_overall[t]);
+      for (int32_t c = first; c < last; ++c) {
+        s_max = std::max(s_max, s_overall[c]);
       }
       const double pull = (1.0 - l) * s_max;
-      for (int t = first; t < last; ++t) {
-        const double pulled = l * s_overall[t] + pull;
-        balance_penalty[t] = pulled - s_overall[t];
-        s_overall[t] = pulled;
+      for (int32_t c = first; c < last; ++c) {
+        const double pulled = l * s_overall[c] + pull;
+        balance_penalty[c] = pulled - s_overall[c];
+        s_overall[c] = pulled;
         global_max = std::max(global_max, pulled);
         global_min = std::min(global_min, pulled);
       }
@@ -742,8 +853,8 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     if (iter == 0) {
       slowdown_ceiling = global_max;
     } else if (global_max > slowdown_ceiling || global_min < 1.0) {
-      for (int t = 0; t < n_total; ++t) {
-        s_overall[t] = std::clamp(s_overall[t], 1.0, slowdown_ceiling);
+      for (int32_t c = 0; c < num_classes; ++c) {
+        s_overall[c] = std::clamp(s_overall[c], 1.0, slowdown_ceiling);
       }
     }
 
@@ -752,7 +863,7 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     // the delta is "distance moved this iteration" throughout; convergence
     // is still only declared from the second iteration on.
     const double worst_delta =
-        MaxRelativeDelta(s_overall, iter == 0 ? nullptr : prev, n_total);
+        MaxRelativeDelta(s_overall, iter == 0 ? nullptr : prev, num_classes);
     final_delta = worst_delta;
     converged = iter > 0 && worst_delta < options_.convergence_eps;
     const bool dampened = !converged && iter + 1 >= options_.dampen_after;
@@ -762,9 +873,15 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
       iteration_trace.max_delta = worst_delta;
       iteration_trace.converged = converged;
       iteration_trace.dampened = dampened;
-      iteration_trace.thread_slowdowns.assign(s.s_overall.begin(), s.s_overall.end());
-      iteration_trace.thread_bottlenecks.assign(s.bottleneck.begin(),
-                                                s.bottleneck.end());
+      iteration_trace.thread_slowdowns.reserve(n);
+      iteration_trace.thread_bottlenecks.reserve(n);
+      for (size_t j = 0; j < num_jobs; ++j) {
+        ForEachThread(s, j, [&](int32_t core, int32_t, int32_t c) {
+          iteration_trace.thread_slowdowns.push_back(s_overall[c]);
+          iteration_trace.thread_bottlenecks.push_back(
+              ThreadBottleneck(bottleneck[c], core, num_cores));
+        });
+      }
       trace->iterations.push_back(std::move(iteration_trace));
     }
     if (converged) {
@@ -775,32 +892,29 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     // versions auto-vectorize.
     for (size_t j = 0; j < num_jobs; ++j) {
       const double f_initial = s.job_f_initial[j];
-      const int first = s.job_first_thread[j];
-      const int last = first + s.job_num_threads[j];
+      const int32_t first = job_first_class[j];
+      const int32_t last = job_first_class[j + 1];
       if (!dampened) {
-        for (int t = first; t < last; ++t) {
-          f_start[t] = f_initial * (s_resource[t] / s_overall[t]);
+        for (int32_t c = first; c < last; ++c) {
+          class_f[c] = f_initial * (s_resource[c] / s_overall[c]);
         }
       } else {
-        for (int t = first; t < last; ++t) {
-          f_start[t] =
-              0.5 * (f_initial * (s_resource[t] / s_overall[t]) + f_start[t]);
+        for (int32_t c = first; c < last; ++c) {
+          class_f[c] = 0.5 * (f_initial * (s_resource[c] / s_overall[c]) + class_f[c]);
         }
       }
     }
   }
 
-  // Scatter the core-major planes back into the ResourceIndex-ordered
-  // resource vector (tail entries accumulated there directly), so `load`
-  // exports the full combined resource loads. Duplicate cores (jobs sharing
-  // a core) rewrite the same combined values — harmless.
-  for (int32_t i = 0; i < num_touched_cores; ++i) {
-    const int32_t core = tcores[i];
-    const double* const cl = &core_load[4 * core];
-    load[core] = cl[0];
-    load[num_cores + core] = cl[1];
-    load[2 * num_cores + core] = cl[2];
-    load[3 * num_cores + core] = cl[3];
+  // Write each occupied core's planes, its group's, into the
+  // ResourceIndex-ordered resource vector (tail entries accumulated there
+  // directly), so `load` exports the full combined resource loads.
+  for (int32_t i = 0; i < num_occupied; ++i) {
+    const int32_t core = s.occupied_core[i];
+    const double* const gl = &group_load[kCorePlanes * s.occupied_group[i]];
+    for (int k = 0; k < kCorePlanes; ++k) {
+      load[k * num_cores + core] = gl[k];
+    }
   }
 
   if (trace != nullptr) {
@@ -973,35 +1087,35 @@ double CoSchedulePredictor::CapacityCeiling(const WorkloadDescription& workload,
   return ceiling;
 }
 
+
 // --- Final per-job predictions (§5.5) ---
 void CoSchedulePredictor::AssembleJob(size_t j, const SolverScratch& s,
                                       const SolveOutcome& outcome, double t1,
                                       Prediction* out) const {
   out->amdahl_speedup = s.job_amdahl[j];
-  const int first = s.job_first_thread[j];
   const int num_threads = s.job_num_threads[j];
-  const int last = first + num_threads;
+  const int num_cores = machine_.topo.NumCores();
   // The final thread-utilization factor f_initial / s_overall is computed
   // here rather than in the solver loop: the reference recomputes it after
   // every step, but every intermediate write is either consumed in step 2
   // (recomputed inline there from the same operands) or overwritten, and
   // s_overall does not change after the reference's last write on any exit
-  // path.
+  // path. The harmonic sum adds one term per thread, in thread order.
   const double f_initial = s.job_f_initial[j];
   double harmonic = 0.0;
   out->threads.resize(static_cast<size_t>(num_threads));
-  for (int t = first; t < last; ++t) {
-    harmonic += 1.0 / s.s_overall[t];
-    ThreadPrediction& tp = out->threads[static_cast<size_t>(t - first)];
-    tp.location =
-        ThreadLocation{s.thread_socket[t], s.thread_core[t], s.thread_slot[t]};
-    tp.resource_slowdown = s.s_resource[t];
-    tp.comm_penalty = s.comm_penalty[t];
-    tp.balance_penalty = s.balance_penalty[t];
-    tp.overall_slowdown = s.s_overall[t];
-    tp.utilization = f_initial / s.s_overall[t];
-    tp.bottleneck = s.bottleneck[t];
-  }
+  ThreadPrediction* tp = out->threads.data();
+  ForEachThread(s, j, [&](int32_t core, int32_t slot, int32_t c) {
+    harmonic += 1.0 / s.s_overall[c];
+    tp->location = ThreadLocation{s.class_socket[c], core, slot};
+    tp->resource_slowdown = s.s_resource[c];
+    tp->comm_penalty = s.comm_penalty[c];
+    tp->balance_penalty = s.balance_penalty[c];
+    tp->overall_slowdown = s.s_overall[c];
+    tp->utilization = f_initial / s.s_overall[c];
+    tp->bottleneck = ThreadBottleneck(s.bottleneck[c], core, num_cores);
+    ++tp;
+  });
   out->speedup = s.job_amdahl[j] * harmonic / num_threads;
   out->time = t1 / out->speedup;
   out->iterations = outcome.iterations;

@@ -213,36 +213,41 @@ constexpr size_t kBatchSize = 8;
 
 // The first `top_k` candidates in RanksBefore order, bit for bit the head of
 // a stable sort of every prediction, from a bound-and-prune search.
-// Candidates are visited in descending ceiling order, stable on index, and
+// Candidates are visited in descending ceiling order, index ascending, and
 // solved kBatchSize at a time; while fewer than top_k are held nothing can
 // be pruned, so a batch grows until it fills the top k. From then on the
 // walk stops at the first candidate whose ceiling does not rank before the
 // k-th held result, index against index: no later candidate does either,
 // and the held results only improve, so none of them could have entered.
 // Pruning reads the held results only between batches, so the solve set is
-// the same at every job count.
+// the same at every job count. A max-heap hands the candidates out in visit
+// order (RanksBefore on the ceilings), so only the prefix the walk reaches
+// is ever ordered.
 std::vector<Scored> TopCandidates(const Predictor& predictor,
                                   const std::vector<Placement>& candidates,
                                   const std::vector<double>& ceilings, size_t top_k,
                                   const OptimizerOptions& options) {
-  std::vector<size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return ceilings[a] > ceilings[b]; });
+  const auto visited_later = [&](size_t a, size_t b) {
+    return RanksBefore(ceilings[b], b, ceilings[a], a);
+  };
+  std::vector<size_t> unvisited(candidates.size());
+  std::iota(unvisited.begin(), unvisited.end(), size_t{0});
+  std::make_heap(unvisited.begin(), unvisited.end(), visited_later);
 
   std::vector<Scored> top;
   size_t predicted = 0;
-  size_t next = 0;  // the first unvisited position in `order`
-  while (next < order.size()) {
+  while (!unvisited.empty()) {
     const size_t batch_size = std::max(kBatchSize, top_k - top.size());
     std::vector<size_t> batch;
-    for (; next < order.size() && batch.size() < batch_size; ++next) {
-      const size_t i = order[next];
+    while (!unvisited.empty() && batch.size() < batch_size) {
+      const size_t i = unvisited.front();
       if (top.size() == top_k && !RanksBefore(ceilings[i], i,
                                               top.back().prediction.speedup,
                                               top.back().index)) {
         break;
       }
+      std::pop_heap(unvisited.begin(), unvisited.end(), visited_later);
+      unvisited.pop_back();
       batch.push_back(i);
     }
     if (batch.empty()) {

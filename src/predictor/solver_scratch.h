@@ -9,20 +9,28 @@
 // solve performs zero heap allocations inside the solver loop — only the
 // returned Prediction owns freshly allocated vectors.
 //
-// Layout: a thread's demand list factors into a fixed-width per-core part
-// (core issue + L1 + L2 + L3 port, rates shared by every thread of the
-// job) and a per-(job, socket) "tail" (L3 aggregate + DRAM + interconnect
-// entries, identical for all of the job's threads on that socket). The
-// tails are a small CSR structure-of-arrays (tail_offset / tail_res /
-// tail_rate) built once per solve, so the iteration loop walks flat
-// contiguous arrays and shares the tail work across threads. The previous
-// iteration's slowdowns live in a second buffer (s_prev) that is swapped —
-// not copied — with s_overall at the top of each iteration.
+// Layout: the solver iterates over thread classes, not threads. A class is
+// the threads of one job on one socket whose cores hold the same threads
+// (the same count of every job); they see the same loads, capacities,
+// demand tails and penalties at every iteration, so each class keeps one
+// utilization, one set of slowdowns and penalties, and one bottleneck
+// plane. Cores with the same composition on one socket form a core group,
+// whose four per-core planes (core issue + L1 + L2 + L3 port) are
+// accumulated once. A thread's socket-level demand is a per-(job, socket)
+// "tail" (L3 aggregate + DRAM + interconnect entries), a small CSR
+// structure-of-arrays (tail_offset / tail_res / tail_rate / tail_cap)
+// built once per solve. The sums whose rounding depends on thread order —
+// each tail resource's load, step 2's work sums and the final harmonic sum
+// — still add one term per thread in thread order, walking segments (runs
+// of consecutive threads of one class). The previous iteration's slowdowns
+// live in a second buffer (s_prev) that is swapped — not copied — with
+// s_overall at the top of each iteration.
 //
 // Lifetime rules: a SolverScratch may be reused across solves of any shape
 // and any CoSchedulePredictor, but never concurrently — callers either own
 // one per thread or use the solver's built-in thread-local arena (the
-// default Predict path). Contents are meaningless between calls; only
+// default Predict path). Contents are meaningless between calls, apart
+// from the counts of the last solve (num_classes and the rest below); only
 // capacity is retained.
 #ifndef PANDIA_SRC_PREDICTOR_SOLVER_SCRATCH_H_
 #define PANDIA_SRC_PREDICTOR_SOLVER_SCRATCH_H_
@@ -46,22 +54,37 @@ struct SolverJobRef {
 };
 
 struct SolverScratch {
-  // --- per-thread state (SoA) ---
-  std::vector<int32_t> thread_socket;
-  std::vector<int32_t> thread_core;
-  std::vector<int32_t> thread_slot;
-  std::vector<int32_t> remote_peers;
-  std::vector<double> f_start;
+  // --- per-class state (SoA), classes job-major ---
+  std::vector<int32_t> class_socket;
+  std::vector<int32_t> class_group;
+  std::vector<int32_t> class_core_threads;  // the job's threads on each core
+  std::vector<uint8_t> class_opens_group;   // the group's first class
+  std::vector<double> class_f;              // utilization fed to step 1
   std::vector<double> s_overall;
   std::vector<double> s_prev;  // last iteration's s_overall (swapped, not copied)
   std::vector<double> s_resource;
   std::vector<double> comm_penalty;
   std::vector<double> balance_penalty;
+  // Core plane 0..3 (the resource is plane * num_cores + the thread's
+  // core), a tail resource (>= 4 * num_cores), or -1.
   std::vector<int> bottleneck;
 
-  // --- per-job state (SoA) ---
-  std::vector<int32_t> job_first_thread;
+  // --- thread order ---
+  // The cores each job occupies, job-major and in core order, with their
+  // socket and the class of that job's threads there; job j's run starts
+  // at job_first_touch[j]. A core shared by jobs appears once per job.
+  std::vector<int32_t> touched_cores;
+  std::vector<int32_t> touched_socket;
+  std::vector<int32_t> touched_class;
+  // Maximal runs of consecutive threads of one class, in thread order.
+  std::vector<int32_t> segment_class;
+  std::vector<int32_t> segment_threads;
+
+  // --- per-job state (SoA); the three CSR offsets have num_jobs + 1 ---
   std::vector<int32_t> job_num_threads;
+  std::vector<int32_t> job_first_touch;
+  std::vector<int32_t> job_first_class;
+  std::vector<int32_t> job_first_segment;
   std::vector<double> job_amdahl;
   std::vector<double> job_f_initial;
   std::vector<double> job_os;
@@ -80,54 +103,58 @@ struct SolverScratch {
   std::vector<int32_t> tail_offset;  // size num_jobs * num_sockets + 1
   std::vector<int32_t> tail_res;
   std::vector<double> tail_rate;
+  std::vector<double> tail_cap;
+  std::vector<int32_t> tail_threads;  // job j's threads on socket s
   // Per-iteration max contention factor (and its resource) within each
-  // tail, shared by all threads of that (job, socket).
+  // tail, shared by all classes of that (job, socket).
   std::vector<double> tail_max;
   std::vector<int32_t> tail_arg;
 
-  // --- per-resource / per-core / per-socket ---
-  // The four per-core planes (core issue, L1, L2, L3 port) accumulate in a
-  // core-major mirror (core_load[4 * core + k], with caps4 mirroring the
-  // matching capacities) so a thread's per-core demand occupies one
-  // contiguous 32-byte block — the accumulate / zero / scan loops touch one
-  // cache line per core instead of four plane-strided ones. The socket-level
-  // tail entries accumulate directly in `load` (ResourceIndex order), and
-  // the core planes are scattered back into `load` once per solve, so
-  // `load` still exports the full resource vector.
+  // --- core groups: one socket's cores of one composition ---
+  // The four per-core planes accumulate per group, core-major
+  // (group_load[4 * group + k], group_caps alike), and are written into
+  // `load` for each occupied core once per solve, so `load` still exports
+  // the full resource vector. The tail entries accumulate in `load`
+  // directly (ResourceIndex order).
+  std::vector<double> group_load;
+  std::vector<double> group_caps;
+  std::vector<uint8_t> group_shared;  // the group's cores hold >= 2 threads
+  std::vector<int32_t> class_of_group;  // latest class per group, while built
+  // The occupied cores, each once and in core order, with their group.
+  // Refinement computes the group: starting from the core's socket, job by
+  // job, (group so far, that job's count on the core) maps to a new dense
+  // id through refine_next.
+  std::vector<int32_t> occupied_core;
+  std::vector<int32_t> occupied_group;
+  std::vector<int32_t> core_group;  // per core, valid for occupied cores
+  std::vector<int32_t> refine_next;
+
+  // --- per-resource / per-socket ---
   std::vector<double> load;
-  std::vector<double> core_load;
-  std::vector<double> caps;
-  std::vector<double> caps4;
+  // Every job's threads per core, for joint solves (a solo job's placement
+  // serves as is).
   std::vector<uint8_t> combined_per_core;
   std::vector<double> socket_work;
-  std::vector<uint8_t> active_sockets;      // current job's active-socket flags
-  std::vector<int32_t> job_socket_threads;  // current job's threads per socket
+  std::vector<uint8_t> active_sockets;  // current job's active-socket flags
 
   // Distinct tail resources referenced by any demand entry (indices into
-  // `load`), plus the occupied cores (indices into `core_load` / `load`'s
-  // core planes; may repeat a core once per job sharing it). Iterations
-  // zero and refresh only these instead of sweeping the full resource
-  // vector. resource_seen holds the epoch of the last solve that touched
-  // the tail entry, so no per-solve clear is needed.
+  // `load`). Iterations zero and refresh only these instead of sweeping the
+  // full resource vector, and the next solve zeroes them and the occupied
+  // cores' planes. resource_seen holds the epoch of the last solve that
+  // touched the tail entry, so no per-solve clear is needed.
   std::vector<int32_t> resource_touched;
-  std::vector<int32_t> touched_cores;
   std::vector<uint32_t> resource_seen;
   uint32_t seen_epoch = 0;
   int32_t num_touched = 0;
-  int32_t num_touched_cores = 0;
-  // True while comm_penalty is known to be all-zero (resizing preserves
-  // this: shrink keeps the zero prefix, growth value-initializes).
-  bool comm_penalty_zeroed = false;
+
+  // Counts of the last solve.
+  int32_t num_occupied = 0;
+  int32_t num_groups = 0;
+  int32_t num_classes = 0;
+  int32_t num_segments = 0;
 
   // Row buffer for MemoryNodeWeightsInto (num_sockets entries).
   std::vector<double> memory_weights;
-
-  // Capacity memo key: the caps vector is a pure function of the topology
-  // dims, the eight capacity scalars, and the per-core SMT mask. When all
-  // of these match the previous solve, CapacitiesInto is skipped.
-  std::vector<uint8_t> caps_key_mask;
-  double caps_key_scalars[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  int32_t caps_key_dims[3] = {-1, -1, -1};
 
   // Job input pointers for the multi-request entry point.
   std::vector<SolverJobRef> job_refs;
@@ -138,6 +165,7 @@ struct SolverScratch {
   int64_t shape_threads = -1;
   int64_t shape_cores = -1;
   int64_t shape_sockets = -1;
+  int64_t shape_threads_per_core = -1;
   int64_t shape_resources = -1;
 
   // Incremented whenever any buffer's capacity grows. Steady-state solves of
