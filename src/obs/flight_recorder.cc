@@ -1,21 +1,11 @@
 #include "src/obs/flight_recorder.h"
 
-#include <chrono>
-
 #include "src/util/check.h"
+#include "src/util/clock.h"
 #include "src/util/strings.h"
 
 namespace pandia {
 namespace obs {
-namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(size_t capacity) : ring_(capacity) {
   PANDIA_CHECK_MSG(capacity >= 1, "flight recorder needs capacity >= 1");
@@ -23,7 +13,7 @@ FlightRecorder::FlightRecorder(size_t capacity) : ring_(capacity) {
 
 void FlightRecorder::Record(std::string_view kind, std::string_view detail,
                             bool ok) {
-  const int64_t now = NowNs();
+  const int64_t now = util::SteadyNowNs();
   util::MutexLock lock(mu_);
   FlightEvent& slot = ring_[next_];
   slot.seq = ++recorded_;

@@ -1,46 +1,10 @@
 #include "src/obs/log.h"
 
-#include <chrono>
-
+#include "src/util/clock.h"
 #include "src/util/strings.h"
 
 namespace pandia {
 namespace obs {
-namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Local copy of the wire escaping scheme (obs must not depend on
-// src/serialize): backslash, newline, carriage return, tab, and space.
-void AppendEscaped(std::string& out, std::string_view value) {
-  for (const char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case ' ':
-        out += "\\s";
-        break;
-      default:
-        out += c;
-    }
-  }
-}
-
-}  // namespace
 
 char LogLevelTag(LogLevel level) {
   switch (level) {
@@ -65,7 +29,7 @@ LogField::LogField(std::string_view k, uint64_t v)
 
 EventLog::EventLog() {
   util::MutexLock lock(mu_);
-  start_ns_ = NowNs();
+  start_ns_ = util::SteadyNowNs();
 }
 
 EventLog& EventLog::Global() {
@@ -86,7 +50,7 @@ std::string FormatLogLine(LogLevel level, std::string_view site,
     line += ' ';
     line += field.key;
     line += '=';
-    AppendEscaped(line, field.value);
+    AppendEscapedValue(line, field.value);
   }
   return line;
 }
@@ -96,7 +60,7 @@ void EventLog::Log(LogLevel level, std::string_view site,
   if (!Enabled(level)) {
     return;
   }
-  const int64_t now = NowNs();
+  const int64_t now = util::SteadyNowNs();
   util::MutexLock lock(mu_);
   SiteState& state = sites_.try_emplace(std::string(site)).first->second;
   uint64_t suppressed_note = 0;

@@ -1,9 +1,9 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
+#include "src/util/clock.h"
 #include "src/util/strings.h"
 
 namespace pandia {
@@ -42,10 +42,7 @@ std::string JsonEscape(const std::string& s) {
 
 }  // namespace
 
-Tracer::Tracer()
-    : epoch_ns_(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now().time_since_epoch())
-                    .count()) {
+Tracer::Tracer() : epoch_ns_(util::SteadyNowNs()) {
   id_ = g_next_tracer_id.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -54,12 +51,7 @@ Tracer& Tracer::Global() {
   return *tracer;
 }
 
-int64_t Tracer::NowNs() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-             .count() -
-         epoch_ns_;
-}
+int64_t Tracer::NowNs() const { return util::SteadyNowNs() - epoch_ns_; }
 
 Tracer::ThreadBuffer& Tracer::LocalBuffer() {
   // Per-thread cache keyed by tracer id: ids are never reused, so an entry

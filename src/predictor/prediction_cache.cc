@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "src/obs/metrics.h"
+#include "src/util/fnv1a.h"
 
 namespace pandia {
 namespace {
@@ -13,14 +14,8 @@ namespace {
 // differing in any double produce different fingerprints with overwhelming
 // probability, and identical inputs always collide — exactly what a
 // memoization key needs.
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
 void HashBytes(uint64_t& h, const void* data, size_t n) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h = (h ^ bytes[i]) * kFnvPrime;
-  }
+  h = Fnv1a64(std::string_view(static_cast<const char*>(data), n), h);
 }
 
 void HashU64(uint64_t& h, uint64_t v) { HashBytes(h, &v, sizeof(v)); }
@@ -61,7 +56,7 @@ obs::Gauge& SizeGauge() {
 
 uint64_t MachineOptionsFingerprint(const MachineDescription& machine,
                                    const PredictionOptions& options) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1a64Offset;
   // Machine: topology shape plus every measured capacity.
   HashString(h, machine.topo.name);
   HashInt(h, machine.topo.num_sockets);
@@ -87,12 +82,11 @@ uint64_t MachineOptionsFingerprint(const MachineDescription& machine,
   HashInt(h, options.model_communication ? 1 : 0);
   HashInt(h, options.model_load_balance ? 1 : 0);
   HashInt(h, options.iterate ? 1 : 0);
-  HashInt(h, options.retry_on_divergence ? 1 : 0);
   return h;
 }
 
 uint64_t WorkloadFingerprint(const WorkloadDescription& workload) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1a64Offset;
   // Every model input (§4's five properties + demand vector + memory
   // policy). Bookkeeping fields (profile_threads, r2..r6) feed no
   // prediction, but they are cheap and keeping them makes the fingerprint
@@ -133,7 +127,7 @@ uint64_t ContextFingerprint(const MachineDescription& machine,
 }
 
 uint64_t PlacementFingerprint(const Placement& placement) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1a64Offset;
   const std::vector<uint8_t>& per_core = placement.PerCore();
   HashU64(h, per_core.size());
   HashBytes(h, per_core.data(), per_core.size());
@@ -141,7 +135,7 @@ uint64_t PlacementFingerprint(const Placement& placement) {
 }
 
 size_t PredictionCache::KeyHash::operator()(const PredictionCacheKey& key) const {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1a64Offset;
   HashU64(h, key.context);
   HashU64(h, key.placement);
   return static_cast<size_t>(h);

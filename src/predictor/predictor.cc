@@ -60,8 +60,8 @@ Prediction Predictor::Predict(const Placement& placement) const {
   // iteration, dampen_after = 1) are left alone.
   const bool diverged =
       !prediction.converged && prediction.final_delta > kDivergenceDelta;
-  const bool retryable = options_.retry_on_divergence && options_.iterate &&
-                         options_.convergence_eps > 0.0 && options_.dampen_after > 1;
+  const bool retryable = options_.iterate && options_.convergence_eps > 0.0 &&
+                         options_.dampen_after > 1;
   if (diverged && retryable) {
     static obs::Counter& retries =
         obs::MetricsRegistry::Global().counter("predictor.divergence_retries");

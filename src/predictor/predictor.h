@@ -52,18 +52,14 @@ struct PredictionOptions {
   bool model_communication = true;
   bool model_load_balance = true;
   bool iterate = true;  // false: stop after the first iteration
-
-  // When a prediction hits max_iterations while still moving by more than
-  // kDivergenceDelta, retry once with dampening from the first iteration
-  // (adaptive damping). Retries only make sense for runs that are allowed
-  // to converge (iterate, convergence_eps > 0, dampen_after > 1); outcomes
-  // are counted in the predictor.divergence_* metrics.
-  bool retry_on_divergence = true;
 };
 
 // A final_delta above this after max_iterations marks a divergent (not just
-// slowly converging) prediction: it triggers the adaptive-damping retry and
-// flags the result in reports and ranking metrics.
+// slowly converging) prediction and flags it in reports and ranking
+// metrics. Predictor::Predict retries it once with dampening from the first
+// iteration (adaptive damping) when the options let it converge: iterate,
+// convergence_eps > 0 and dampen_after > 1. The predictor.divergence_*
+// metrics count the outcomes.
 inline constexpr double kDivergenceDelta = 0.01;
 
 // Relative slack on the capacity ceiling (CoSchedulePredictor::

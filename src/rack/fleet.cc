@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/util/check.h"
+#include "src/util/fnv1a.h"
 #include "src/util/strings.h"
 
 namespace pandia {
@@ -39,15 +40,7 @@ StatusOr<ShardPolicy> ShardPolicyFromName(const std::string& name) {
       name.c_str()));
 }
 
-uint64_t FleetHash(std::string_view text) {
-  // FNV-1a, 64-bit offset basis / prime.
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+uint64_t FleetHash(std::string_view text) { return Fnv1a64(text); }
 
 Fleet::Fleet(int num_shards, ShardPolicy policy)
     : num_shards_(num_shards), policy_(policy) {

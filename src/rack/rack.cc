@@ -301,16 +301,25 @@ std::optional<Rack::Candidate> Rack::BestCandidateOn(int machine_index,
                                                      double must_beat) const {
   PANDIA_CHECK(machine_index >= 0 &&
                static_cast<size_t>(machine_index) < residents_.size());
-  const MachineTopology& topo = machines_[machine_index].description.topo;
-  const auto desc_it = job.descriptions.find(topo.name);
+  const auto desc_it =
+      job.descriptions.find(machines_[machine_index].description.topo.name);
   if (desc_it == job.descriptions.end()) {
     return std::nullopt;  // no description for this machine type
   }
-  const WorkloadDescription& workload = desc_it->second;
+  return ProbeMachine(machine_index, desc_it->second, job.requested_threads, policy,
+                      exclude_job, must_beat);
+}
+
+std::optional<Rack::Candidate> Rack::ProbeMachine(int machine_index,
+                                                  const WorkloadDescription& workload,
+                                                  int requested_threads, Policy policy,
+                                                  const std::string* exclude_job,
+                                                  double must_beat) const {
+  const MachineTopology& topo = machines_[machine_index].description.topo;
   const FreeLayout layout(topo, FreeThreads(machine_index, exclude_job));
   // One thread always fits on a machine with a free thread, so a positive
   // `want` means at least one candidate.
-  const int want = std::min(job.requested_threads, layout.capacity);
+  const int want = std::min(requested_threads, layout.capacity);
   if (want <= 0) {
     return std::nullopt;
   }
@@ -431,6 +440,58 @@ std::optional<Rack::Candidate> Rack::BestCandidateOn(int machine_index,
   return best;
 }
 
+std::optional<Assignment> Rack::ScanMachines(
+    const std::string& job, int first, int last, Policy policy, double must_beat,
+    const std::function<std::optional<Candidate>(int, double)>& probe) const {
+  // Probe the machines in waves of one machine per worker, lowest index
+  // first; the probes only read rack state (the least-interference baseline
+  // also goes through the thread-safe prediction cache). The fold keeps the
+  // lowest-indexed machine with the strictly greatest objective, so under
+  // best speedup every wave passes the best job speedup of the earlier waves
+  // (before any, the caller's must_beat) as must_beat: a machine that cannot
+  // exceed it cannot be chosen, and the chosen machine's best always exceeds
+  // it, since only lower-indexed machines set it. Under first fit the first
+  // wave that holds a feasible machine ends the scan. Least interference has
+  // no ceiling and probes every machine. The answer is the exhaustive fold's
+  // at every job count, and the solves depend on the job count alone, never
+  // on thread timing.
+  const int wave = util::ResolveJobs(options_.common.jobs);
+  const auto objective = [&](const Candidate& candidate) {
+    return policy == Policy::kLeastInterference ? candidate.total_speedup
+                                                : candidate.job_speedup;
+  };
+  std::vector<std::optional<Candidate>> candidates(static_cast<size_t>(wave));
+  std::optional<Candidate> chosen;
+  int chosen_machine = -1;
+  for (int begin = first; begin < last; begin += wave) {
+    if (policy == Policy::kFirstFit && chosen.has_value()) {
+      break;
+    }
+    const int count = std::min(wave, last - begin);
+    const double bar = policy == Policy::kBestSpeedup && chosen.has_value()
+                           ? chosen->job_speedup
+                           : must_beat;
+    util::ParallelFor(static_cast<size_t>(count), options_.common.jobs, [&](size_t i) {
+      candidates[i] = probe(begin + static_cast<int>(i), bar);
+    });
+    for (int i = 0; i < count; ++i) {
+      std::optional<Candidate>& candidate = candidates[static_cast<size_t>(i)];
+      if (candidate.has_value() &&
+          (!chosen.has_value() ? candidate->job_speedup > must_beat
+                               : policy != Policy::kFirstFit &&
+                                     objective(*candidate) > objective(*chosen))) {
+        chosen = std::move(candidate);
+        chosen_machine = begin + i;
+      }
+    }
+  }
+  if (!chosen.has_value()) {
+    return std::nullopt;
+  }
+  return Assignment{job, chosen_machine, std::move(chosen->placement),
+                    chosen->job_speedup};
+}
+
 StatusOr<Assignment> Rack::Choose(const JobRequest& job, Policy policy) const {
   if (job.name.empty()) {
     return Status::InvalidArgument("job name must be non-empty");
@@ -463,53 +524,78 @@ StatusOr<Assignment> Rack::Choose(const JobRequest& job, Policy policy) const {
                   job.name.c_str()));
   }
 
-  // Probe the machines in waves of one machine per worker, lowest index
-  // first; the probes only read rack state (the least-interference baseline
-  // also goes through the thread-safe prediction cache). The fold keeps the
-  // lowest-indexed machine with the strictly greatest objective, so under
-  // best speedup every wave passes the best job speedup of the earlier waves
-  // as must_beat: a machine that cannot exceed it cannot be chosen, and the
-  // chosen machine's best always exceeds it, since only lower-indexed
-  // machines set it. Under first fit the first wave that holds a feasible
-  // machine ends the scan. Least interference has no ceiling and probes
-  // every machine. The answer is the exhaustive fold's at every job count,
-  // and the solves depend on the job count alone, never on thread timing.
-  const size_t wave = static_cast<size_t>(util::ResolveJobs(options_.common.jobs));
-  const auto objective = [&](const Candidate& candidate) {
-    return policy == Policy::kLeastInterference ? candidate.total_speedup
-                                                : candidate.job_speedup;
-  };
-  std::vector<std::optional<Candidate>> candidates(wave);
-  std::optional<Candidate> chosen;
-  int chosen_machine = -1;
-  for (size_t first = 0; first < machines_.size(); first += wave) {
-    if (policy == Policy::kFirstFit && chosen.has_value()) {
-      break;
-    }
-    const size_t count = std::min(wave, machines_.size() - first);
-    const double must_beat = policy == Policy::kBestSpeedup && chosen.has_value()
-                                 ? chosen->job_speedup
-                                 : -std::numeric_limits<double>::infinity();
-    util::ParallelFor(count, options_.common.jobs, [&](size_t i) {
-      candidates[i] =
-          BestCandidateOn(static_cast<int>(first + i), job, policy, nullptr, must_beat);
-    });
-    for (size_t i = 0; i < count; ++i) {
-      if (candidates[i].has_value() &&
-          (!chosen.has_value() || (policy != Policy::kFirstFit &&
-                                   objective(*candidates[i]) > objective(*chosen)))) {
-        chosen = std::move(candidates[i]);
-        chosen_machine = static_cast<int>(first + i);
-      }
-    }
-  }
+  std::optional<Assignment> chosen = ScanMachines(
+      job.name, 0, static_cast<int>(machines_.size()), policy,
+      -std::numeric_limits<double>::infinity(), [&](int machine_index, double must_beat) {
+        return BestCandidateOn(machine_index, job, policy, nullptr, must_beat);
+      });
   if (!chosen.has_value()) {
     return Status::FailedPrecondition(
         StrFormat("no machine can place job '%s' (requested %d threads)",
                   job.name.c_str(), job.requested_threads));
   }
-  return Assignment{job.name, chosen_machine, std::move(chosen->placement),
-                    chosen->job_speedup};
+  return *std::move(chosen);
+}
+
+std::optional<Assignment> Rack::MoveOf(const RackJob& resident, int home,
+                                       double current_speedup, MoveScope scope,
+                                       double margin) const {
+  const std::string& type = machines_[home].description.topo.name;
+  const int threads = resident.placement.TotalThreads();
+  const bool anywhere = scope == MoveScope::kAnyMachine;
+  return ScanMachines(
+      resident.name, anywhere ? 0 : home,
+      anywhere ? static_cast<int>(machines_.size()) : home + 1, Policy::kBestSpeedup,
+      current_speedup * (1.0 + margin),
+      [&](int machine_index, double must_beat) -> std::optional<Candidate> {
+        if (machines_[machine_index].description.topo.name != type) {
+          return std::nullopt;
+        }
+        return ProbeMachine(machine_index, resident.description, threads,
+                            Policy::kBestSpeedup,
+                            machine_index == home ? &resident.name : nullptr, must_beat);
+      });
+}
+
+std::optional<Assignment> Rack::ChooseMove(const std::string& job, MoveScope scope,
+                                           double margin) const {
+  for (size_t m = 0; m < residents_.size(); ++m) {
+    for (size_t i = 0; i < residents_[m].size(); ++i) {
+      if (residents_[m][i].name == job) {
+        const int home = static_cast<int>(m);
+        return MoveOf(residents_[m][i], home, PredictMachine(home)[i].speedup, scope,
+                      margin);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<Assignment> Rack::ChooseRebalanceMove(double margin) const {
+  struct Ranked {
+    const RackJob* job;
+    int machine_index;
+    double speedup;
+  };
+  std::vector<Ranked> ranked;
+  for (size_t m = 0; m < residents_.size(); ++m) {
+    const std::vector<Prediction> predictions = PredictMachine(static_cast<int>(m));
+    for (size_t i = 0; i < residents_[m].size(); ++i) {
+      ranked.push_back(
+          Ranked{&residents_[m][i], static_cast<int>(m), predictions[i].speedup});
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    return a.speedup != b.speedup ? a.speedup < b.speedup : a.job->name < b.job->name;
+  });
+  for (const Ranked& entry : ranked) {
+    std::optional<Assignment> move = MoveOf(
+        *entry.job, entry.machine_index, entry.speedup, MoveScope::kAnyMachine, margin);
+    if (move.has_value()) {
+      return move;
+    }
+  }
+  return std::nullopt;
 }
 
 StatusOr<Assignment> Rack::Admit(const JobRequest& job, Policy policy) {

@@ -11,14 +11,18 @@
 //
 // `Rack` is the mutable online state: machines plus the named jobs resident
 // on them, with Admit / Depart / Move mutations that never abort on bad
-// input (StatusOr surface). Admission splits into a read-only decision
-// (Choose) and its application (AdmitAt), so the long-running placement
-// service (src/serve) can journal a decision before it applies it. The
-// offline experiments admit a whole job stream in order through Schedule().
+// input (StatusOr surface). Every placement decision is read-only and
+// separate from its application, so the long-running placement service
+// (src/serve) can journal a decision before it applies it: Choose decides
+// an admission (applied by AdmitAt), and ChooseMove / ChooseRebalanceMove
+// decide a resident's re-placement (applied by Move). All three run one
+// machine scan with one fold (see Choose). The offline experiments admit a
+// whole job stream in order through Schedule().
 #ifndef PANDIA_SRC_RACK_RACK_H_
 #define PANDIA_SRC_RACK_RACK_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -158,7 +162,7 @@ class Rack {
   // speedup, or the machine's net aggregate speedup under least
   // interference — and the first in enumeration order on a tie.
   // `exclude_job` evaluates the machine as if that resident had already
-  // left — the re-placement path of departures and rebalancing.
+  // left, as every re-placement probe (ChooseMove) does.
   //
   // Candidates whose speedup ceiling (CoSchedulePredictor::SpeedupCeiling)
   // cannot beat the best solved so far are not solved, so the result is
@@ -174,19 +178,43 @@ class Rack {
       double must_beat = -std::numeric_limits<double>::infinity()) const;
 
   // Admission decision: returns the best candidate under `policy` without
-  // changing the rack — the lowest-indexed machine with the greatest
-  // objective, or under first fit the lowest-indexed machine where the job
-  // fits, with its best placement there. Probes the machines in waves of
-  // options().common.jobs, one worker per machine, lowest index first.
-  // Under best speedup a wave's probes only solve candidates that can beat
-  // the earlier waves' best; under first fit the scan ends at the first
-  // wave with a feasible machine. Errors: invalid request, duplicate job
-  // name, no description for any machine type in the rack, or no machine
-  // with a feasible placement.
+  // changing the rack — the lowest-indexed machine with the strictly
+  // greatest objective, or under first fit the lowest-indexed machine where
+  // the job fits, with its best placement there. The machine scan, shared
+  // with ChooseMove, probes the machines in waves of options().common.jobs,
+  // one worker per machine, lowest index first. Under best speedup a wave's
+  // probes only solve candidates that can beat the earlier waves' best;
+  // under first fit the scan ends at the first wave with a feasible
+  // machine. Errors: invalid request, duplicate job name, no description
+  // for any machine type in the rack, or no machine with a feasible
+  // placement.
   [[nodiscard]] StatusOr<Assignment> Choose(const JobRequest& job, Policy policy) const;
 
   // Choose, then AdmitAt the chosen machine and placement.
   [[nodiscard]] StatusOr<Assignment> Admit(const JobRequest& job, Policy policy);
+
+  // Where a re-placement may land.
+  enum class MoveScope {
+    kOwnMachine,  // the job's own machine (DEPART's neighbours)
+    kAnyMachine,  // every machine of the job's type (REBALANCE)
+  };
+
+  // Re-placement decision for resident `job`, read-only like Choose and
+  // applied with Move: its best-speedup placement within `scope` whose
+  // joint speedup exceeds its current joint speedup x (1 + margin), or
+  // nullopt when none does or no such job is resident. The job is excluded
+  // from its own machine; other machines must be of its type, as its
+  // description is machine-specific (§4). Choose's machine scan and fold
+  // decide, with the threshold as the first wave's must_beat. One joint
+  // prediction of the job's machine gives its current speedup.
+  std::optional<Assignment> ChooseMove(const std::string& job, MoveScope scope,
+                                       double margin) const;
+
+  // REBALANCE's decision: the residents in order of current joint speedup,
+  // worst first, names breaking ties, and the first of them for which
+  // ChooseMove under kAnyMachine finds a re-placement. One joint prediction
+  // per machine ranks them and gives each its current speedup.
+  std::optional<Assignment> ChooseRebalanceMove(double margin) const;
 
   // Places a job without searching: validates the name, the description and
   // that `placement` fits the machine's free threads, then places the job.
@@ -282,6 +310,23 @@ class Rack {
   [[nodiscard]] Status RestoreState(const SavedState& state);
 
  private:
+  // BestCandidateOn for one description and thread request.
+  std::optional<Candidate> ProbeMachine(int machine_index,
+                                        const WorkloadDescription& workload,
+                                        int requested_threads, Policy policy,
+                                        const std::string* exclude_job,
+                                        double must_beat) const;
+  // The machine scan and fold behind every decision for `job` (see
+  // Choose), over the machines [first, last). probe(m, must_beat) is
+  // machine m's best candidate, or nullopt when the job cannot go there.
+  // Under best speedup nothing at or below `must_beat` is chosen; other
+  // policies pass -infinity.
+  std::optional<Assignment> ScanMachines(
+      const std::string& job, int first, int last, Policy policy, double must_beat,
+      const std::function<std::optional<Candidate>(int, double)>& probe) const;
+  std::optional<Assignment> MoveOf(const RackJob& resident, int home,
+                                   double current_speedup, MoveScope scope,
+                                   double margin) const;
   std::vector<Prediction> PredictResidents(int machine_index,
                                            std::span<const RackJob* const> jobs) const;
   Status ValidatePlacementFits(int machine_index, const Placement& placement,

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/fnv1a.h"
 #include "src/util/strings.h"
 
 namespace pandia {
@@ -70,7 +71,7 @@ class Document {
         return doc.DuplicateOr(Status::InvalidArgument(
             StrFormat("empty key in '%.*s'", Size(line), line.data())));
       }
-      doc.entries_.push_back(Entry{KeyHash(key), key, value});
+      doc.entries_.push_back(Entry{Fnv1a64(key), key, value});
     }
     if (!saw_magic) {
       return Status::DataLoss(
@@ -125,15 +126,6 @@ class Document {
     std::string_view value;
   };
 
-  // FNV-1a over the key's bytes.
-  static uint64_t KeyHash(std::string_view key) {
-    uint64_t hash = 14695981039346656037ULL;
-    for (const char c : key) {
-      hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    }
-    return hash;
-  }
-
   // Orders entries by (hash, key); a lookup compares no further.
   static bool KeyLess(const Entry& a, const Entry& b) {
     return a.hash != b.hash ? a.hash < b.hash : a.key < b.key;
@@ -167,7 +159,7 @@ class Document {
   }
 
   const std::string_view* Find(std::string_view key) const {
-    const Entry wanted{KeyHash(key), key, {}};
+    const Entry wanted{Fnv1a64(key), key, {}};
     const auto it = std::lower_bound(entries_.begin(), entries_.end(), wanted, KeyLess);
     return it != entries_.end() && it->hash == wanted.hash && it->key == key
                ? &it->value

@@ -45,27 +45,7 @@ bool ValidKey(std::string_view key) {
 std::string EscapeValue(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case ' ':
-        out += "\\s";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendEscapedValue(out, raw);
   return out;
 }
 
@@ -123,7 +103,7 @@ std::string FormatRequest(const Request& request) {
     line += ' ';
     line += key;
     line += '=';
-    line += EscapeValue(value);
+    AppendEscapedValue(line, value);
   }
   return line;
 }

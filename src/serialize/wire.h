@@ -69,10 +69,9 @@ inline constexpr std::string_view kVerbs[] = {
 
 // Journal-record verbs: the request grammar reused for mutation-journal
 // payloads (see src/serve/journal.h). Replayed by PlacementService only —
-// never dispatched by the front door, never sent by clients. JOB is the
-// sub-record a SNAPSHOT embeds, one per resident job.
+// never dispatched by the front door, never sent by clients.
 inline constexpr std::string_view kJournalRecordVerbs[] = {
-    "ADMITTED", "DEPARTED", "JOB", "MOVED", "NOTE", "SNAPSHOT",
+    "ADMITTED", "DEPARTED", "MOVED", "NOTE", "SNAPSHOT",
 };
 
 // Escapes backslash, newline, carriage return, tab, and space so any text

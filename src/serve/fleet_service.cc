@@ -1,6 +1,5 @@
 #include "src/serve/fleet_service.h"
 
-#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -9,17 +8,12 @@
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/util/clock.h"
 #include "src/util/strings.h"
 
 namespace pandia {
 namespace serve {
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Per-verb request instruments. One static table keyed by verb keeps metric
 // cardinality bounded: every verb the daemon speaks gets its own counters
@@ -156,7 +150,7 @@ std::string FleetService::HandleLine(const std::string& line) {
 }
 
 wire::Response FleetService::Handle(const wire::Request& request) {
-  const int64_t start_ns = NowNs();
+  const int64_t start_ns = util::SteadyNowNs();
   wire::Response response;
   {
     util::MutexLock lock(mu_);
@@ -172,7 +166,7 @@ wire::Response FleetService::Handle(const wire::Request& request) {
   }
   const VerbInstruments& instruments = InstrumentsFor(request.verb);
   instruments.requests->Increment();
-  instruments.latency_us->Observe(static_cast<double>(NowNs() - start_ns) /
+  instruments.latency_us->Observe(static_cast<double>(util::SteadyNowNs() - start_ns) /
                                   1000.0);
   if (!response.ok) {
     instruments.errors->Increment();

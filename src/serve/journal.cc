@@ -5,13 +5,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
 #include <utility>
 
 #include "src/obs/metrics.h"
+#include "src/util/clock.h"
 #include "src/util/crc32c.h"
 #include "src/util/strings.h"
 
@@ -20,12 +20,6 @@ namespace serve {
 namespace {
 
 constexpr const char kMagicV2[] = "pandia-journal v2";
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 obs::Histogram& AppendLatency() {
   static obs::Histogram& histogram = obs::MetricsRegistry::Global().histogram(
@@ -478,11 +472,11 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
 }
 
 Status Journal::FsyncNow() {
-  const int64_t start_ns = NowNs();
+  const int64_t start_ns = util::SteadyNowNs();
   if (::fsync(::fileno(file_)) != 0) {
     return ErrnoStatus("cannot fsync journal", path_);
   }
-  FsyncLatency().Observe(static_cast<double>(NowNs() - start_ns) / 1000.0);
+  FsyncLatency().Observe(static_cast<double>(util::SteadyNowNs() - start_ns) / 1000.0);
   records_since_sync_ = 0;
   return Status::Ok();
 }
@@ -537,7 +531,7 @@ Status Journal::Append(const wire::Request& record) {
                   path_.c_str()));
   }
 
-  const int64_t start_ns = NowNs();
+  const int64_t start_ns = util::SteadyNowNs();
   Status appended = Status::Ok();
   if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
       std::fflush(file_) != 0) {
@@ -563,7 +557,7 @@ Status Journal::Append(const wire::Request& record) {
     RestoreTail();
     return appended;
   }
-  AppendLatency().Observe(static_cast<double>(NowNs() - start_ns) / 1000.0);
+  AppendLatency().Observe(static_cast<double>(util::SteadyNowNs() - start_ns) / 1000.0);
   BytesCounter().Increment(line.size());
   ++next_seq_;
   ++record_count_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -20,6 +21,11 @@ namespace {
 constexpr double kCompactLiveRatio = 0.5;
 // REBALANCE's migration budget when the request sets none.
 constexpr int kDefaultMaxMigrations = 4;
+// The fields of one job in a SNAPSHOT record, in the order they are
+// written and read.
+constexpr const char* kSnapshotJobFields[] = {
+    "name", "machine", "placement", "speedup", "admit-seq", "moves",
+    "events-at-placement", "desc"};
 
 obs::Gauge& DegradedGauge() {
   static obs::Gauge& gauge =
@@ -327,57 +333,19 @@ wire::Response PlacementService::HandleAdmit(const wire::Request& request) {
   return response;
 }
 
-Status PlacementService::MoveJob(const std::string& name, int machine_index,
-                                 const rack::Rack::Candidate& candidate,
+Status PlacementService::MoveJob(const rack::Assignment& move,
                                  std::vector<std::string>& payload) {
-  const std::string placement = wire::PlacementToCsv(candidate.placement);
+  const std::string placement = wire::PlacementToCsv(*move.placement);
   wire::Request record;
   record.verb = "MOVED";
-  record.params.emplace_back("name", name);
-  record.params.emplace_back("machine", StrFormat("%d", machine_index));
+  record.params.emplace_back("name", move.job);
+  record.params.emplace_back("machine", StrFormat("%d", move.machine_index));
   record.params.emplace_back("placement", placement);
   PANDIA_RETURN_IF_ERROR(AppendJournal(record));
-  PANDIA_RETURN_IF_ERROR(rack_.Move(name, machine_index, candidate.placement));
+  PANDIA_RETURN_IF_ERROR(rack_.Move(move.job, move.machine_index, *move.placement));
   payload.push_back(StrFormat("moved = %s machine=%d placement=%s speedup=%.6f",
-                              wire::EscapeValue(name).c_str(), machine_index,
-                              placement.c_str(), candidate.job_speedup));
-  return Status::Ok();
-}
-
-Status PlacementService::ReplaceDegraded(int machine_index,
-                                         std::vector<std::string>& payload) {
-  // Snapshot names first: moves re-order the resident vector.
-  std::vector<std::string> names;
-  for (const rack::RackJob& job : rack_.JobsOn(machine_index)) {
-    names.push_back(job.name);
-  }
-  const std::string type =
-      rack_.machines()[machine_index].description.topo.name;
-  for (const std::string& name : names) {
-    const auto& residents = rack_.JobsOn(machine_index);
-    const auto it = std::find_if(residents.begin(), residents.end(),
-                                 [&](const rack::RackJob& r) { return r.name == name; });
-    if (it == residents.end()) {
-      continue;
-    }
-    const size_t index = static_cast<size_t>(it - residents.begin());
-    const std::vector<Prediction> current = rack_.PredictMachine(machine_index);
-    const double current_speedup = current[index].speedup;
-
-    rack::JobRequest probe;
-    probe.name = name;
-    probe.descriptions.emplace(type, it->description);
-    probe.requested_threads = it->placement.TotalThreads();
-    // Only a move that clears the margin is taken, so the search solves
-    // only candidates whose speedup ceiling exceeds it.
-    const double must_beat = current_speedup * (1.0 + options_.replace_margin);
-    const std::optional<rack::Rack::Candidate> candidate = rack_.BestCandidateOn(
-        machine_index, probe, rack::Policy::kBestSpeedup, &name, must_beat);
-    if (!candidate.has_value() || candidate->job_speedup <= must_beat) {
-      continue;
-    }
-    PANDIA_RETURN_IF_ERROR(MoveJob(name, machine_index, *candidate, payload));
-  }
+                              wire::EscapeValue(move.job).c_str(), move.machine_index,
+                              placement.c_str(), move.predicted_speedup));
   return Status::Ok();
 }
 
@@ -411,15 +379,27 @@ wire::Response PlacementService::HandleDepart(const wire::Request& request) {
   wire::Response response = wire::Response::Success("DEPART");
   response.payload.push_back(StrFormat("machine = %d", *departed));
   // Freed threads are an opportunity: re-place neighbours the departed job
-  // was degrading. The departure itself is already durable and applied, so
-  // a failed re-placement (a MOVED append that failed, so the move never
-  // happened) must not convert this response into an error — the client
-  // would be told a committed departure failed, and a retry would get 'not
-  // resident'. Report it as a warning row instead.
-  if (Status replaced = ReplaceDegraded(*departed, response.payload);
-      !replaced.ok()) {
-    response.payload.push_back(StrFormat("warning = re-placement skipped: %s",
-                                         replaced.message().c_str()));
+  // was degrading, one rack decision each, walking the names as they stood
+  // (moves re-order the resident vector). The departure itself is already
+  // durable and applied, so a failed re-placement (a MOVED append that
+  // failed, so the move never happened) must not convert this response into
+  // an error — the client would be told a committed departure failed, and a
+  // retry would get 'not resident'. Report it as a warning row instead.
+  std::vector<std::string> names;
+  for (const rack::RackJob& job : rack_.JobsOn(*departed)) {
+    names.push_back(job.name);
+  }
+  for (const std::string& neighbour : names) {
+    const std::optional<rack::Assignment> move = rack_.ChooseMove(
+        neighbour, rack::Rack::MoveScope::kOwnMachine, options_.replace_margin);
+    if (!move.has_value()) {
+      continue;
+    }
+    if (Status moved = MoveJob(*move, response.payload); !moved.ok()) {
+      response.payload.push_back(StrFormat("warning = re-placement skipped: %s",
+                                           moved.message().c_str()));
+      break;
+    }
   }
   return response;
 }
@@ -445,87 +425,26 @@ wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
 
   wire::Response response = wire::Response::Success("REBALANCE");
   int migrations = 0;
-  // Each round re-places the currently worst-predicted job if some machine
-  // of its type offers a margin-beating improvement. Stops at the migration
-  // budget or at a fixed point (no candidate improves).
+  // Each round moves the job the rack picks, until the migration budget or
+  // a fixed point (no resident has a margin-beating re-placement).
   while (migrations < max_migrations) {
-    struct Entry {
-      std::string name;
-      int machine = -1;
-      double speedup = 0.0;
-    };
-    std::vector<Entry> jobs;
-    for (size_t m = 0; m < rack_.machines().size(); ++m) {
-      const std::vector<Prediction> predictions =
-          rack_.PredictMachine(static_cast<int>(m));
-      const auto& residents = rack_.JobsOn(static_cast<int>(m));
-      for (size_t i = 0; i < residents.size(); ++i) {
-        jobs.push_back(
-            Entry{residents[i].name, static_cast<int>(m), predictions[i].speedup});
-      }
-    }
-    // Worst predicted speedup first; names break ties deterministically.
-    std::sort(jobs.begin(), jobs.end(), [](const Entry& a, const Entry& b) {
-      return a.speedup != b.speedup ? a.speedup < b.speedup : a.name < b.name;
-    });
-
-    bool moved = false;
-    for (const Entry& entry : jobs) {
-      const auto& residents = rack_.JobsOn(entry.machine);
-      const auto it =
-          std::find_if(residents.begin(), residents.end(),
-                       [&](const rack::RackJob& r) { return r.name == entry.name; });
-      const std::string type =
-          rack_.machines()[entry.machine].description.topo.name;
-      rack::JobRequest probe;
-      probe.name = entry.name;
-      probe.descriptions.emplace(type, it->description);
-      probe.requested_threads = it->placement.TotalThreads();
-
-      // Candidate machines: same type only (the stored description is
-      // machine-specific, §4), own machine included via self-exclusion. A
-      // later machine wins only with a strictly greater speedup, so each
-      // search has to beat the margin and every earlier machine's best.
-      std::optional<rack::Rack::Candidate> best;
-      int best_machine = -1;
-      double must_beat = entry.speedup * (1.0 + options_.replace_margin);
-      for (size_t m = 0; m < rack_.machines().size(); ++m) {
-        if (rack_.machines()[m].description.topo.name != type) {
-          continue;
-        }
-        const std::string* exclude =
-            static_cast<int>(m) == entry.machine ? &entry.name : nullptr;
-        std::optional<rack::Rack::Candidate> candidate =
-            rack_.BestCandidateOn(static_cast<int>(m), probe,
-                                  rack::Policy::kBestSpeedup, exclude, must_beat);
-        if (candidate.has_value() && candidate->job_speedup > must_beat) {
-          must_beat = candidate->job_speedup;
-          best = std::move(candidate);
-          best_machine = static_cast<int>(m);
-        }
-      }
-      if (!best.has_value()) {
-        continue;
-      }
-      if (Status status = MoveJob(entry.name, best_machine, *best, response.payload);
-          !status.ok()) {
-        // The migrations before this one are durable and applied, so only a
-        // REBALANCE that moved nothing fails. Otherwise the reply stays ok
-        // and names the stop, as DEPART does for a skipped re-placement.
-        if (migrations == 0) {
-          return wire::Response::Failure(status);
-        }
-        response.payload.push_back(StrFormat("warning = rebalance stopped: %s",
-                                             status.message().c_str()));
-        break;  // `moved` stays false, which ends the rounds
-      }
-      ++migrations;
-      moved = true;
-      break;  // re-rank after every migration
-    }
-    if (!moved) {
+    const std::optional<rack::Assignment> move =
+        rack_.ChooseRebalanceMove(options_.replace_margin);
+    if (!move.has_value()) {
       break;
     }
+    if (Status status = MoveJob(*move, response.payload); !status.ok()) {
+      // The migrations before this one are durable and applied, so only a
+      // REBALANCE that moved nothing fails. Otherwise the reply stays ok
+      // and names the stop, as DEPART does for a skipped re-placement.
+      if (migrations == 0) {
+        return wire::Response::Failure(status);
+      }
+      response.payload.push_back(StrFormat("warning = rebalance stopped: %s",
+                                           status.message().c_str()));
+      break;
+    }
+    ++migrations;
   }
   response.payload.insert(response.payload.begin(),
                           StrFormat("migrations = %d", migrations));
@@ -736,32 +655,26 @@ wire::Request PlacementService::BuildSnapshot() const {
   }
   snapshot.params.emplace_back("events", events);
   snapshot.params.emplace_back("jobs", StrFormat("%zu", state.jobs.size()));
+  // Each job's fields are the record's own parameters, job.<i>.<field> in
+  // kSnapshotJobFields order, so a description is escaped once.
   for (size_t i = 0; i < state.jobs.size(); ++i) {
-    const rack::Rack::SavedJob& saved = state.jobs[i];
-    wire::Request job;
-    job.verb = "JOB";
-    job.params.emplace_back("name", saved.job.name);
-    job.params.emplace_back("machine", StrFormat("%d", saved.machine_index));
-    job.params.emplace_back("placement",
-                            wire::PlacementToCsv(saved.job.placement));
+    const rack::RackJob& job = state.jobs[i].job;
     // %.17g: doubles round-trip exactly, so speedup-at-admit (and with it
     // TELEMETRY) is byte-identical across snapshot + restart.
-    job.params.emplace_back("speedup",
-                            StrFormat("%.17g", saved.job.speedup_at_admit));
-    job.params.emplace_back(
-        "admit-seq",
-        StrFormat("%llu", static_cast<unsigned long long>(saved.job.admit_seq)));
-    job.params.emplace_back("moves", StrFormat("%d", saved.job.moves));
-    job.params.emplace_back(
-        "events-at-placement",
-        StrFormat("%llu", static_cast<unsigned long long>(
-                              saved.job.machine_events_at_placement)));
-    job.params.emplace_back("desc",
-                            WorkloadDescriptionToText(saved.job.description));
-    // The formatted JOB line travels as one (re-escaped) value; nesting the
-    // escaping round-trips exactly.
-    snapshot.params.emplace_back(StrFormat("job.%zu", i),
-                                 wire::FormatRequest(job));
+    std::string values[std::size(kSnapshotJobFields)] = {
+        job.name,
+        StrFormat("%d", state.jobs[i].machine_index),
+        wire::PlacementToCsv(job.placement),
+        StrFormat("%.17g", job.speedup_at_admit),
+        StrFormat("%llu", static_cast<unsigned long long>(job.admit_seq)),
+        StrFormat("%d", job.moves),
+        StrFormat("%llu",
+                  static_cast<unsigned long long>(job.machine_events_at_placement)),
+        WorkloadDescriptionToText(job.description)};
+    for (size_t f = 0; f < std::size(kSnapshotJobFields); ++f) {
+      snapshot.params.emplace_back(StrFormat("job.%zu.%s", i, kSnapshotJobFields[f]),
+                                   std::move(values[f]));
+    }
   }
   return snapshot;
 }
@@ -772,25 +685,30 @@ Status PlacementService::RestoreSnapshot(const wire::Request& record,
     return Status::DataLoss(
         StrFormat("journal line %zu: %s", line, message.c_str()));
   };
-  const auto param = [&](const wire::Request& request,
-                         const char* key) -> StatusOr<std::string> {
-    const std::string* value = request.Find(key);
-    if (value == nullptr) {
-      return data_loss(StrFormat("%s record misses '%s'", request.verb.c_str(),
-                                 key));
+  // The parameters in the order BuildSnapshot writes them, read in one pass.
+  size_t next = 0;
+  const auto take = [&](const std::string& key) -> StatusOr<const std::string*> {
+    if (next == record.params.size()) {
+      return data_loss(StrFormat("SNAPSHOT record misses '%s'", key.c_str()));
     }
-    return *value;
+    if (record.params[next].first != key) {
+      return data_loss(StrFormat("SNAPSHOT record has '%s' where '%s' belongs",
+                                 record.params[next].first.c_str(), key.c_str()));
+    }
+    return &record.params[next++].second;
   };
 
   rack::Rack::SavedState state;
-  StatusOr<std::string> seq_text = param(record, "mutation-seq");
-  StatusOr<std::string> events_text = param(record, "events");
-  StatusOr<std::string> jobs_text = param(record, "jobs");
-  if (!seq_text.ok() || !events_text.ok() || !jobs_text.ok()) {
-    return !seq_text.ok() ? seq_text.status()
-                          : (!events_text.ok() ? events_text.status()
-                                               : jobs_text.status());
+  const std::string* counters[3] = {};
+  int c = 0;
+  for (const char* key : {"mutation-seq", "events", "jobs"}) {
+    StatusOr<const std::string*> value = take(key);
+    if (!value.ok()) {
+      return value.status();
+    }
+    counters[c++] = *value;
   }
+  const auto& [seq_text, events_text, jobs_text] = counters;
   StatusOr<uint64_t> mutation_seq = ParseUint64(*seq_text, "mutation-seq");
   StatusOr<uint64_t> job_count = ParseUint64(*jobs_text, "jobs");
   if (!mutation_seq.ok() || !job_count.ok()) {
@@ -805,39 +723,17 @@ Status PlacementService::RestoreSnapshot(const wire::Request& record,
     state.machine_events.push_back(*value);
   }
   for (uint64_t i = 0; i < *job_count; ++i) {
-    StatusOr<std::string> job_line =
-        param(record, StrFormat("job.%llu",
-                                static_cast<unsigned long long>(i))
-                          .c_str());
-    if (!job_line.ok()) {
-      return job_line.status();
-    }
-    StatusOr<wire::Request> job = wire::ParseRequest(*job_line);
-    if (!job.ok()) {
-      return data_loss(StrFormat("job.%llu: %s",
-                                 static_cast<unsigned long long>(i),
-                                 job.status().message().c_str()));
-    }
-    if (job->verb != "JOB") {
-      return data_loss(StrFormat("job.%llu is a '%s' record, not JOB",
-                                 static_cast<unsigned long long>(i),
-                                 job->verb.c_str()));
-    }
-    StatusOr<std::string> name = param(*job, "name");
-    StatusOr<std::string> machine_text = param(*job, "machine");
-    StatusOr<std::string> placement_csv = param(*job, "placement");
-    StatusOr<std::string> speedup_text = param(*job, "speedup");
-    StatusOr<std::string> admit_seq_text = param(*job, "admit-seq");
-    StatusOr<std::string> moves_text = param(*job, "moves");
-    StatusOr<std::string> events_at_text = param(*job, "events-at-placement");
-    StatusOr<std::string> desc_text = param(*job, "desc");
-    for (const StatusOr<std::string>* field :
-         {&name, &machine_text, &placement_csv, &speedup_text, &admit_seq_text,
-          &moves_text, &events_at_text, &desc_text}) {
-      if (!field->ok()) {
-        return field->status();
+    const std::string* fields[std::size(kSnapshotJobFields)];
+    for (size_t f = 0; f < std::size(kSnapshotJobFields); ++f) {
+      StatusOr<const std::string*> value = take(StrFormat(
+          "job.%llu.%s", static_cast<unsigned long long>(i), kSnapshotJobFields[f]));
+      if (!value.ok()) {
+        return value.status();
       }
+      fields[f] = *value;
     }
+    const auto& [name, machine_text, placement_csv, speedup_text, admit_seq_text,
+                 moves_text, events_at_text, desc_text] = fields;
     StatusOr<int> machine = ParseInt(*machine_text, "machine");
     if (!machine.ok() || *machine < 0 ||
         static_cast<size_t>(*machine) >= rack_.machines().size()) {
@@ -872,6 +768,10 @@ Status PlacementService::RestoreSnapshot(const wire::Request& record,
         rack::RackJob{*name, *std::move(description), *std::move(placement),
                       /*workload_fingerprint=*/0, *speedup, *admit_seq, *moves,
                       *events_at}});
+  }
+  if (next != record.params.size()) {
+    return data_loss(StrFormat("SNAPSHOT record has an unexpected '%s'",
+                               record.params[next].first.c_str()));
   }
   if (Status restored = rack_.RestoreState(state); !restored.ok()) {
     return data_loss(restored.message());

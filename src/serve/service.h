@@ -29,8 +29,12 @@
 // so the journal is self-contained and replay needs no other files. Each
 // mutation is write-ahead: the read-only decision first, then the journal
 // append, then the change to the rack, so a failed append leaves nothing to
-// undo. Requests never abort the process — malformed input and infeasible
-// placements surface as structured `err` replies.
+// undo. The rack makes every placement decision (Rack::Choose for ADMIT,
+// Rack::ChooseMove for each DEPART neighbour, Rack::ChooseRebalanceMove for
+// each REBALANCE round), one move per call, so each move is journaled and
+// applied before the next decision reads the state. Requests never abort
+// the process — malformed input and infeasible placements surface as
+// structured `err` replies.
 //
 // When journal appends fail persistently (a full or faulted disk), the
 // service degrades to read-only instead of failing every mutation's append
@@ -60,8 +64,8 @@ namespace pandia {
 namespace serve {
 
 struct ServiceOptions {
-  // Policy used by ADMIT requests that do not name one, and by the
-  // rebalancer's candidate search.
+  // Policy used by ADMIT requests that do not name one. Re-placements
+  // always maximize the moved job's own speedup.
   rack::Policy default_policy = rack::Policy::kBestSpeedup;
   // Solver options for the rack; prediction.common.jobs fans admission
   // probes out over worker threads, prediction.common.use_cache memoizes
@@ -145,15 +149,9 @@ class PlacementService {
   wire::Response HandleTelemetry() const;
   wire::Response HandleRecorder(const wire::Request& request) const;
 
-  // Re-places machine residents whose best re-placement beats the margin,
-  // one MoveJob each.
-  Status ReplaceDegraded(int machine_index, std::vector<std::string>& payload);
-  // Journals a MOVED record, then moves `name` to the candidate's placement
-  // on `machine_index` and appends the `moved =` payload row. A failed
-  // append moves nothing.
-  Status MoveJob(const std::string& name, int machine_index,
-                 const rack::Rack::Candidate& candidate,
-                 std::vector<std::string>& payload);
+  // Journals a MOVED record, then applies the move and appends the
+  // `moved =` payload row. A failed append moves nothing.
+  Status MoveJob(const rack::Assignment& move, std::vector<std::string>& payload);
 
   // Applies one recovered journal record (ADMITTED / DEPARTED / MOVED) to
   // the rack; `line` names the journal line in error messages.

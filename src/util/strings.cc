@@ -37,4 +37,35 @@ std::vector<std::string> StrSplit(const std::string& text, char sep) {
   }
 }
 
+void AppendEscapedValue(std::string& out, std::string_view raw) {
+  // Runs of bytes that need no escape are appended whole.
+  size_t run = 0;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const char* escape = nullptr;
+    switch (raw[i]) {
+      case '\\':
+        escape = "\\\\";
+        break;
+      case '\n':
+        escape = "\\n";
+        break;
+      case '\r':
+        escape = "\\r";
+        break;
+      case '\t':
+        escape = "\\t";
+        break;
+      case ' ':
+        escape = "\\s";
+        break;
+      default:
+        continue;
+    }
+    out.append(raw.data() + run, i - run);
+    out.append(escape, 2);
+    run = i + 1;
+  }
+  out.append(raw.data() + run, raw.size() - run);
+}
+
 }  // namespace pandia

@@ -5,6 +5,7 @@
 
 #include "src/predictor/predictor.h"
 #include "src/util/check.h"
+#include "src/workload_desc/profiler.h"
 
 namespace pandia {
 namespace {
@@ -69,33 +70,6 @@ Partial PredictPartial(const MachineDescription& machine,
                  prediction.threads.front().utilization};
 }
 
-// True when the naive demands of n one-per-core threads fit every shared
-// resource, so an Amdahl estimate is uncontaminated.
-bool ContentionFree(const MachineDescription& machine,
-                    const WorkloadDescription& description,
-                    const Placement& placement) {
-  WorkloadDescription probe = description;
-  probe.parallel_fraction = 1.0;
-  probe.inter_socket_overhead = 0.0;
-  probe.burstiness = 0.0;
-  probe.load_balance = 1.0;
-  const Predictor predictor(machine, probe);
-  const Prediction prediction = predictor.Predict(placement);
-  const ResourceIndex index(machine.topo);
-  const std::vector<double> caps = machine.Capacities(placement.PerCore());
-  for (int r = 0; r < index.Count(); ++r) {
-    const ResourceKind kind = index.KindOf(r);
-    if (kind != ResourceKind::kL3Agg && kind != ResourceKind::kDram &&
-        kind != ResourceKind::kLink) {
-      continue;
-    }
-    if (prediction.resource_load[r] > caps[r] * 1.02) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 OnlineProfiler::OnlineProfiler(MachineDescription machine, std::string workload_name,
@@ -136,7 +110,7 @@ bool OnlineProfiler::Observe(const EpochObservation& epoch) {
       if (!demands_known()) {
         return false;  // needs t1 first (§4 step ordering)
       }
-      if (!ContentionFree(machine_, description_, epoch.placement)) {
+      if (!ContentionFree(ContentionProbe(machine_, description_), epoch.placement)) {
         return false;  // a contended epoch would contaminate Amdahl's law
       }
       const int n = epoch.placement.TotalThreads();
@@ -197,13 +171,13 @@ std::optional<Placement> OnlineProfiler::SuggestNextProbe() const {
   }
   // Largest even same-socket one-per-core count that stays contention-free
   // (mirrors the offline profiler's run-2 choice).
+  const Predictor probe = ContentionProbe(machine_, description_);
   int n2 = 2;
   for (int n = 2; n <= topo.cores_per_socket; n += 2) {
-    if (ContentionFree(machine_, description_, Placement::OnePerCore(topo, n))) {
-      n2 = n;
-    } else {
+    if (!ContentionFree(probe, Placement::OnePerCore(topo, n))) {
       break;
     }
+    n2 = n;
   }
   if (!parallel_fraction_known()) {
     return Placement::OnePerCore(topo, n2);

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/counters/counters.h"
 #include "src/predictor/predictor.h"
 #include "src/stress/stress.h"
+#include "src/topology/resource_index.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -226,41 +228,37 @@ StatusOr<WorkloadProfiler::TimedSample> WorkloadProfiler::RobustTimedRun(
   return aggregate;
 }
 
+Predictor ContentionProbe(const MachineDescription& machine,
+                          WorkloadDescription partial) {
+  partial.parallel_fraction = 1.0;
+  partial.inter_socket_overhead = 0.0;
+  partial.load_balance = 1.0;
+  partial.burstiness = 0.0;
+  return Predictor(machine, std::move(partial));
+}
+
+bool ContentionFree(const Predictor& probe, const Placement& placement) {
+  const Prediction prediction = probe.Predict(placement);
+  const std::vector<double> caps = probe.machine().Capacities(placement.PerCore());
+  // The shared resources are the last in ResourceIndex order: every
+  // socket's aggregate L3, every socket's DRAM, then the links.
+  const ResourceIndex index(probe.machine().topo);
+  for (int r = index.L3Agg(0); r < index.Count(); ++r) {
+    if (prediction.resource_load[r] > caps[r] * 1.02) {
+      return false;
+    }
+  }
+  return true;
+}
+
 int WorkloadProfiler::ChooseProfileThreads(const WorkloadDescription& partial) const {
-  const MachineTopology& topo = description_.topo;
   // Contention-free by construction requires one thread per core on one
   // socket; find the largest even count whose naive demands oversubscribe
   // nothing (checked with the partial model itself).
-  WorkloadDescription probe = partial;
-  probe.parallel_fraction = 1.0;  // not yet known; irrelevant to saturation
-  probe.inter_socket_overhead = 0.0;
-  probe.load_balance = 1.0;
-  probe.burstiness = 0.0;
-  const Predictor predictor(description_, probe);
-  const ResourceIndex index(topo);
+  const Predictor probe = ContentionProbe(description_, partial);
   int best = 2;
-  for (int n = 2; n <= topo.cores_per_socket; n += 2) {
-    const Prediction prediction = predictor.Predict(Placement::OnePerCore(topo, n));
-    // One thread per core cannot oversubscribe private per-core resources
-    // beyond what the solo run already used, so only the shared resources
-    // (aggregate L3, memory channels, interconnect) gate the choice. A
-    // small tolerance absorbs measurement noise for workloads whose solo
-    // demand already sits at a capacity.
-    const std::vector<double> caps = description_.Capacities(
-        Placement::OnePerCore(topo, n).PerCore());
-    bool saturated = false;
-    for (int r = 0; r < index.Count(); ++r) {
-      const ResourceKind kind = index.KindOf(r);
-      if (kind != ResourceKind::kL3Agg && kind != ResourceKind::kDram &&
-          kind != ResourceKind::kLink) {
-        continue;
-      }
-      if (prediction.resource_load[r] > caps[r] * 1.02) {
-        saturated = true;
-        break;
-      }
-    }
-    if (saturated) {
+  for (int n = 2; n <= description_.topo.cores_per_socket; n += 2) {
+    if (!ContentionFree(probe, Placement::OnePerCore(description_.topo, n))) {
       break;
     }
     best = n;

@@ -34,6 +34,7 @@
 #define PANDIA_SRC_WORKLOAD_DESC_PROFILER_H_
 
 #include "src/machine_desc/machine_description.h"
+#include "src/predictor/predictor.h"
 #include "src/sim/machine.h"
 #include "src/util/common_options.h"
 #include "src/util/status.h"
@@ -54,6 +55,19 @@ struct ProfileOptions {
   // deterministic nonce up to this many times before the trial is dropped.
   int max_attempts = 5;
 };
+
+// The contention check both profilers run before they trust an Amdahl
+// estimate from one-per-core threads. ContentionProbe is the predictor of
+// `partial` with p = 1, o_s = 0, b = 0 and l = 1: those are not yet known
+// and do not change what saturates. ContentionFree is true when the probe
+// predicts `placement` to load no shared resource (aggregate L3, DRAM,
+// interconnect link) beyond 1.02 x its capacity. One thread per core cannot
+// oversubscribe a per-core resource beyond what the solo run already used,
+// and the tolerance absorbs measurement noise for workloads whose solo
+// demand already sits at a capacity.
+Predictor ContentionProbe(const MachineDescription& machine,
+                          WorkloadDescription partial);
+bool ContentionFree(const Predictor& probe, const Placement& placement);
 
 class WorkloadProfiler {
  public:

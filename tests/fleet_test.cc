@@ -98,6 +98,13 @@ TEST(FleetRouter, ShardOrderIsADeterministicPermutation) {
   }
 }
 
+// Ring positions are FNV-1a 64 of each virtual node's label, so a daemon
+// routes a name to the shard that journaled it before any restart.
+TEST(FleetRouter, RingPositionsAreFnv1a64OfTheLabels) {
+  EXPECT_EQ(rack::FleetHash("shard0#0"), 0x1d674912e0b87942ull);
+  EXPECT_EQ(rack::FleetHash("shard1#31"), 0xfc5c8a0b7852cba7ull);
+}
+
 TEST(FleetRouter, ConsistentHashIgnoresLoads) {
   const rack::Fleet fleet(3, rack::ShardPolicy::kConsistentHash);
   std::vector<rack::ShardLoad> idle(3);

@@ -699,6 +699,172 @@ TEST(RackSearch, ChooseMatchesTheExhaustiveFoldAcrossMachines) {
   EXPECT_GT(unplaced, 0);
 }
 
+// A re-placement decision is the exhaustive scan of every machine in its
+// scope, folded: on random racks of 1-5 machines (all of one type often
+// enough that machines tie) with 1-10 residents, for a random resident, at
+// margins -0.5, 0, 0.02 and 10, within the resident's own machine and
+// across every machine of its type, ChooseMove picks the lowest-indexed
+// machine whose exhaustive best, the resident excluded from its own
+// machine, strictly exceeds both the resident's current joint speedup x (1
+// + margin) and every earlier machine's best, with the same placement and
+// speedup bits, at 1, 2 and 4 workers. At 1 worker it solves exactly what
+// a serial machine-by-machine search that carries the incumbent solves.
+// A re-placement that only ties the current speedup is never taken.
+TEST(RackSearch, MoveMatchesTheExhaustiveFold) {
+  const std::vector<std::string> types = {"x5-2", "x4-2", "x3-2", "x2-4"};
+  const std::vector<std::string> suite = {"EP", "CG",     "MD",    "Swim",
+                                          "BT", "Bwaves", "NPO-1T"};
+  const obs::Counter& solves =
+      obs::MetricsRegistry::Global().counter("rack.probe.solves");
+  Rng rng(26);
+  int stayed = 0;       // moves within the resident's own machine
+  int elsewhere = 0;    // moves to another machine
+  int tied = 0;         // folds where a later machine tied the incumbent
+  int unmoved = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int machine_count = 1 + static_cast<int>(rng.NextBounded(5));
+    const bool one_type = rng.NextBounded(2) == 0;
+    const std::string& only = types[rng.NextBounded(types.size())];
+    std::vector<RackMachine> machines;
+    for (int m = 0; m < machine_count; ++m) {
+      machines.push_back(
+          {StrFormat("node%d", m),
+           PipelineFor(one_type ? only : types[rng.NextBounded(types.size())])
+               .description()});
+    }
+    Rack rack(machines);
+    const int residents = 1 + static_cast<int>(rng.NextBounded(10));
+    for (int r = 0; r < residents; ++r) {
+      const int m = static_cast<int>(rng.NextBounded(machine_count));
+      const MachineTopology& topo = rack.machines()[m].description.topo;
+      const Placement placement = RandomFeasiblePlacement(
+          topo, rack.FreeThreads(m), 1 + static_cast<int>(rng.NextBounded(8)), rng);
+      if (placement.TotalThreads() == 0) {
+        continue;  // machine full
+      }
+      ASSERT_TRUE(rack.AdmitAt(StrFormat("r%d", r), m,
+                               Profiled(topo.name, suite[rng.NextBounded(suite.size())]),
+                               placement)
+                      .ok());
+    }
+    if (rack.JobCount() == 0) {
+      continue;
+    }
+    // A random resident, its current joint speedup, and the exhaustive best
+    // of every machine it may move to.
+    int home = -1;
+    size_t index = 0;
+    do {
+      home = static_cast<int>(rng.NextBounded(machine_count));
+    } while (rack.JobsOn(home).empty());
+    index = rng.NextBounded(rack.JobsOn(home).size());
+    const RackJob& resident = rack.JobsOn(home)[index];
+    const std::string name = resident.name;
+    const std::string& type = rack.machines()[home].description.topo.name;
+    const double current = rack.PredictMachine(home)[index].speedup;
+    JobRequest job;
+    job.name = name;
+    job.descriptions.emplace(type, resident.description);
+    job.requested_threads = resident.placement.TotalThreads();
+    std::vector<std::optional<Rack::Candidate>> exhaustive(machine_count);
+    for (int m = 0; m < machine_count; ++m) {
+      exhaustive[m] = ExhaustiveBestCandidateOn(rack, m, job, Policy::kBestSpeedup,
+                                                m == home ? &name : nullptr);
+    }
+
+    for (const Rack::MoveScope scope :
+         {Rack::MoveScope::kOwnMachine, Rack::MoveScope::kAnyMachine}) {
+      const bool anywhere = scope == Rack::MoveScope::kAnyMachine;
+      for (const double margin : {-0.5, 0.0, 0.02, 10.0}) {
+        const double threshold = current * (1.0 + margin);
+        std::optional<Rack::Candidate> expected;
+        int expected_machine = -1;
+        for (int m = 0; m < machine_count; ++m) {
+          if ((!anywhere && m != home) || !exhaustive[m].has_value()) {
+            continue;
+          }
+          const double bar = expected.has_value() ? expected->job_speedup : threshold;
+          tied += expected.has_value() && exhaustive[m]->job_speedup == bar ? 1 : 0;
+          if (exhaustive[m]->job_speedup > bar) {
+            expected = exhaustive[m];
+            expected_machine = m;
+          }
+        }
+
+        // The serial search the decision replaced: each machine in index
+        // order, carrying the best so far as its threshold.
+        uint64_t serial_solves = solves.value();
+        double must_beat = threshold;
+        for (int m = 0; m < machine_count; ++m) {
+          if ((anywhere || m == home) &&
+              rack.machines()[m].description.topo.name == type) {
+            const std::optional<Rack::Candidate> best = rack.BestCandidateOn(
+                m, job, Policy::kBestSpeedup, m == home ? &name : nullptr, must_beat);
+            if (best.has_value() && best->job_speedup > must_beat) {
+              must_beat = best->job_speedup;
+            }
+          }
+        }
+        serial_solves = solves.value() - serial_solves;
+
+        for (const int jobs : {1, 2, 4}) {
+          PredictionOptions options;
+          options.common.jobs = jobs;
+          Rack probed(machines, options);
+          ASSERT_TRUE(probed.RestoreState(rack.SaveState()).ok());
+          SCOPED_TRACE(StrFormat("trial %d: %d machines, %s on node%d, %s, margin %g, "
+                                 "jobs %d",
+                                 trial, machine_count, name.c_str(), home,
+                                 anywhere ? "any machine" : "own machine", margin, jobs));
+          const uint64_t solves_before = solves.value();
+          const std::optional<Assignment> move = probed.ChooseMove(name, scope, margin);
+          const uint64_t move_solves = solves.value() - solves_before;
+          if (jobs == 1) {
+            EXPECT_EQ(move_solves, serial_solves);
+          }
+          if (!expected.has_value()) {
+            EXPECT_FALSE(move.has_value());
+            unmoved += jobs == 1 ? 1 : 0;
+            continue;
+          }
+          ASSERT_TRUE(move.has_value());
+          EXPECT_EQ(move->job, name);
+          EXPECT_EQ(move->machine_index, expected_machine);
+          ASSERT_TRUE(move->placement.has_value());
+          EXPECT_EQ(move->placement->PerCore(), expected->placement.PerCore());
+          EXPECT_EQ(Bits(move->predicted_speedup), Bits(expected->job_speedup));
+          if (jobs == 1) {
+            (expected_machine == home ? stayed : elsewhere) += 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stayed, 0);
+  EXPECT_GT(elsewhere, 0);
+  EXPECT_GT(tied, 0);
+  EXPECT_GT(unmoved, 0);
+
+  // A job alone at its best placement only ties itself at margin 0, on its
+  // own machine and on an equal empty one, so it is not moved: a tie never
+  // turns into a MOVED record.
+  Rack rack({{"node0", PipelineFor("x3-2").description()},
+             {"node1", PipelineFor("x3-2").description()}});
+  JobRequest solo;
+  solo.name = "solo";
+  solo.descriptions.emplace("x3-2", Profiled("x3-2", "CG"));
+  solo.requested_threads = 8;
+  const StatusOr<Assignment> admitted = rack.Admit(solo, Policy::kBestSpeedup);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  ASSERT_EQ(admitted->machine_index, 0);
+  ASSERT_EQ(Bits(rack.PredictMachine(0)[0].speedup), Bits(admitted->predicted_speedup));
+  for (const Rack::MoveScope scope :
+       {Rack::MoveScope::kOwnMachine, Rack::MoveScope::kAnyMachine}) {
+    EXPECT_FALSE(rack.ChooseMove("solo", scope, 0.0).has_value());
+    EXPECT_TRUE(rack.ChooseMove("solo", scope, -1e-9).has_value());
+  }
+}
+
 }  // namespace
 }  // namespace rack
 }  // namespace pandia

@@ -732,9 +732,9 @@ uint64_t FileBytes(const std::string& path) {
 }
 
 // ADMITTED journals the chosen machine type's description text byte for
-// byte as the request carried it; a SNAPSHOT's JOB record holds the
-// canonical text. Replay of either gives the same STATUS and TELEMETRY, and
-// an ADMIT that fails appends nothing.
+// byte as the request carried it; a SNAPSHOT holds the canonical text as
+// the job's own parameter, escaped once. Replay of either gives the same
+// STATUS and TELEMETRY, and an ADMIT that fails appends nothing.
 TEST(PlacementService, AdmitJournalsTheDescriptionTextAsReceived) {
   const std::string journal = ::testing::TempDir() + "/pandia_as_received.wire";
   std::remove(journal.c_str());
@@ -793,11 +793,13 @@ TEST(PlacementService, AdmitJournalsTheDescriptionTextAsReceived) {
   const std::vector<wire::Request> records = JournalRecords(journal);
   ASSERT_EQ(records.size(), 1u);
   ASSERT_EQ(records[0].verb, "SNAPSHOT");
-  ASSERT_NE(records[0].Find("job.0"), nullptr);
-  const StatusOr<wire::Request> job = wire::ParseRequest(*records[0].Find("job.0"));
-  ASSERT_TRUE(job.ok()) << job.status().ToString();
-  ASSERT_NE(job->Find("desc"), nullptr);
-  EXPECT_EQ(*job->Find("desc"), canonical);
+  ASSERT_NE(records[0].Find("job.0.desc"), nullptr);
+  EXPECT_EQ(*records[0].Find("job.0.desc"), canonical);
+  const StatusOr<std::string> compacted_text = ReadTextFile(journal);
+  ASSERT_TRUE(compacted_text.ok()) << compacted_text.status().ToString();
+  EXPECT_NE(compacted_text->find(" job.0.desc=" + wire::EscapeValue(canonical) + "\n"),
+            std::string::npos)
+      << *compacted_text;
   PlacementService restarted = MustCreate(machines, options);
   EXPECT_EQ(restarted.HandleLine("STATUS"), status);
   EXPECT_EQ(restarted.HandleLine("TELEMETRY"), telemetry);
@@ -915,6 +917,30 @@ TEST(PlacementService, NulByteInJobNameSurvivesRestartAndCompaction) {
   depart.params.emplace_back("name", name);
   const std::string departed = restarted->HandleLine(wire::FormatRequest(depart));
   EXPECT_TRUE(IsOkBlock(departed)) << departed;
+  std::remove(journal.c_str());
+}
+
+// A journal compacted before each job's fields became the SNAPSHOT's own
+// parameters (a nested, twice-escaped JOB record per job) is refused by
+// name and line, never misread.
+TEST(PlacementService, RefusesASnapshotOfNestedJobRecords) {
+  const std::string journal = ::testing::TempDir() + "/pandia_nested_job_snapshot.wire";
+  const StatusOr<std::string> text = ReadTextFile(
+      PANDIA_TEST_DATA_DIR "/corrupt/journal/nested_job_snapshot.journal");
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  ASSERT_TRUE(WriteTextFile(journal, *text).ok());
+  ServiceOptions options;
+  options.journal_path = journal;
+  std::vector<rack::RackMachine> machines{{"n0", X3().description()}};
+  const StatusOr<PlacementService> service =
+      PlacementService::Create(std::move(machines), options);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(service.status().message(),
+            "journal line 2: SNAPSHOT record has 'job.0' where 'job.0.name' belongs");
+  const StatusOr<std::string> after = ReadTextFile(journal);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *text);
   std::remove(journal.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/util/crc32c.h"
+#include "src/util/fnv1a.h"
 #include "src/util/lock_rank.h"
 #include "src/util/mutex.h"
 #include "src/util/rng.h"
@@ -291,6 +292,15 @@ TEST(Crc32c, MatchesTheBitwiseDefinition) {
       }
     }
   }
+}
+
+// The standard FNV-1a 64 vectors. rack::FleetHash places shards on the
+// consistent-hash ring with this hash, so its values must never move.
+TEST(Fnv1a64, MatchesTheStandardVectors) {
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo")), Fnv1a64("foobar"));
 }
 
 // --- runtime lock-rank checker (on in every test binary: test_main.cc) ---

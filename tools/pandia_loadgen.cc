@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "src/pandia.h"
+#include "src/util/clock.h"
 #include "tools/tool_common.h"
 
 namespace {
@@ -61,12 +62,6 @@ int Usage(const char* argv0) {
       "[--timeout-ms=N] [--json-out=FILE]\n",
       argv0);
   return 2;
-}
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 obs::Histogram& AdmitLatency() {
@@ -136,7 +131,7 @@ Status RunClosedWorker(const LoadgenConfig& config, int worker,
                           admit_suffix.c_str());
       admits += '\n';
     }
-    const int64_t batch_start_ns = NowNs();
+    const int64_t batch_start_ns = util::SteadyNowNs();
     if (Status status = client->Send(admits); !status.ok()) {
       return status;
     }
@@ -149,7 +144,7 @@ Status RunClosedWorker(const LoadgenConfig& config, int worker,
       if (response->ok) {
         // Pipelined latency: from the batch write to this block's arrival.
         AdmitLatency().Observe(
-            static_cast<double>(NowNs() - batch_start_ns) / 1000.0);
+            static_cast<double>(util::SteadyNowNs() - batch_start_ns) / 1000.0);
         ++result.admits;
         departs.push_back("DEPART name=" + names[static_cast<size_t>(i)]);
       } else if (IsCapacityRefusal(*response)) {
@@ -227,22 +222,22 @@ Status RunOpenLoop(const LoadgenConfig& config, const std::string& admit_suffix,
     return client.status();
   }
   const std::vector<int64_t> gaps = BuildSchedule(config);
-  int64_t due_ns = NowNs();
+  int64_t due_ns = util::SteadyNowNs();
   for (size_t i = 0; i < gaps.size(); ++i) {
     due_ns += gaps[i];
-    const int64_t now_ns = NowNs();
+    const int64_t now_ns = util::SteadyNowNs();
     if (now_ns < due_ns) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(due_ns - now_ns));
     }
     const std::string name = StrFormat("lg-open-%zu", i);
-    const int64_t send_ns = NowNs();
+    const int64_t send_ns = util::SteadyNowNs();
     StatusOr<wire::Response> admitted = client->Call(
         StrFormat("ADMIT name=%s%s", name.c_str(), admit_suffix.c_str()));
     if (!admitted.ok()) {
       return admitted.status();
     }
     if (admitted->ok) {
-      AdmitLatency().Observe(static_cast<double>(NowNs() - send_ns) / 1000.0);
+      AdmitLatency().Observe(static_cast<double>(util::SteadyNowNs() - send_ns) / 1000.0);
       ++result.admits;
       StatusOr<wire::Response> departed =
           client->Call("DEPART name=" + name);
@@ -417,7 +412,7 @@ int main(int argc, char** argv) {
                config.connections, config.batch,
                static_cast<unsigned long long>(config.seed));
 
-  const int64_t start_ns = NowNs();
+  const int64_t start_ns = util::SteadyNowNs();
   std::vector<WorkerResult> results(
       static_cast<size_t>(config.mode == "closed" ? config.connections : 1));
   std::vector<Status> statuses(results.size(), Status::Ok());
@@ -436,7 +431,7 @@ int main(int argc, char** argv) {
   } else {
     statuses[0] = RunOpenLoop(config, admit_suffix, results[0]);
   }
-  const double wall_s = static_cast<double>(NowNs() - start_ns) / 1e9;
+  const double wall_s = static_cast<double>(util::SteadyNowNs() - start_ns) / 1e9;
 
   for (const Status& status : statuses) {
     if (!status.ok()) {
