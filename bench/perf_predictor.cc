@@ -138,6 +138,25 @@ void BM_FindBestPlacementSampled(benchmark::State& state) {
 }
 BENCHMARK(BM_FindBestPlacementSampled)->Arg(100)->Arg(1000);
 
+// One search-cold query for a bursty workload: x3-2 PRH (burstiness 0.71,
+// where the capacity ceiling's burstiness floor prunes most), the best
+// placement then the cheapest reaching 95% of it, on one worker. The
+// prediction cache is cleared before each query, so the cheapest search
+// hits only what the best search solved.
+void BM_FindBestAndCheapest(benchmark::State& state) {
+  static const eval::Pipeline pipeline("x3-2");
+  static const Predictor predictor =
+      pipeline.MakePredictor(pipeline.Profile(workloads::ByName("PRH")));
+  OptimizerOptions options;
+  options.common.jobs = 1;
+  for (auto _ : state) {
+    PredictionCache::Global().Clear();
+    benchmark::DoNotOptimize(FindBestPlacement(predictor, options));
+    benchmark::DoNotOptimize(FindCheapestPlacement(predictor, 0.95, options));
+  }
+}
+BENCHMARK(BM_FindBestAndCheapest);
+
 void BM_SimulatorRun(benchmark::State& state) {
   const sim::WorkloadSpec workload = workloads::ByName("CG");
   const MachineTopology& topo = X5Pipeline().machine().topology();

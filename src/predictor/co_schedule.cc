@@ -146,6 +146,15 @@ inline double MaxRelativeDelta(const double* __restrict s,
 // L1, L2, L3 port. Plane k of core c is resource k * num_cores + c.
 constexpr int kCorePlanes = 4;
 
+// CapacityCeiling's burstiness floor holds at fixed points only. A solve
+// capped at a few iterations can stop in its transient, where the first
+// iteration's penalties still hold a thread's utilization below f_initial
+// and its slowdown below the floor: random joint schedules find solves
+// above the floored ceiling at max_iterations 2 to 6, and to 10 when the
+// damping starts at the first iteration, but none from 20 to 1000. So a
+// cap below this many iterations (the default dampen_after) gets no floor.
+constexpr int kFloorMinIterations = 100;
+
 // A thread's bottleneck resource from its class's: a core plane names that
 // plane of the thread's own core; a tail resource (>= 4 * num_cores) and -1
 // (no oversubscribed resource) stay as they are.
@@ -948,11 +957,13 @@ double CoSchedulePredictor::SpeedupCeiling(const WorkloadDescription& workload,
 }
 
 double CoSchedulePredictor::CapacityCeiling(const WorkloadDescription& workload,
-                                            const Placement& placement) const {
+                                            const Placement& placement,
+                                            std::span<const uint8_t> occupancy) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   if (!options_.iterate || options_.max_iterations < 2) {
     return kInf;
   }
+  PANDIA_CHECK(occupancy.size() == placement.PerCore().size());
   // Per-socket rows, grown on a thread's first call.
   struct Rows {
     std::vector<uint8_t> active;
@@ -972,6 +983,14 @@ double CoSchedulePredictor::CapacityCeiling(const WorkloadDescription& workload,
   const int threads = placement.TotalThreads();
   const double p = workload.parallel_fraction;
   const double f_initial = (1.0 / ((1.0 - p) + p / threads)) / threads;
+  // §5.1's burstiness floor: at a fixed point a thread on a shared core has
+  // s_overall >= 1 + b * f_initial, b as the solver applies it.
+  const double burstiness =
+      options_.model_burstiness && options_.max_iterations >= kFloorMinIterations
+          ? workload.burstiness
+          : 0.0;
+  const double f_shared =
+      burstiness > 0.0 ? f_initial / (1.0 + burstiness * f_initial) : f_initial;
   // A plane binds only where the workload's rate is positive, as in the
   // solver's bottleneck scan.
   const ResourceDemandVector& d = workload.demands;
@@ -988,8 +1007,10 @@ double CoSchedulePredictor::CapacityCeiling(const WorkloadDescription& workload,
 
   // Branch-free over the cores: an idle core adds min(0, cap) = +0.0, and
   // a placement's pattern of idle, single and shared cores is too irregular
-  // to predict.
+  // to predict. The machine's occupancy, every job's threads, decides
+  // whether a core is shared.
   const uint8_t* const per_core = placement.PerCore().data();
+  const uint8_t* const occupied = occupancy.data();
   int home_socket = -1;
   for (int socket = 0; socket < num_sockets; ++socket) {
     double sum = 0.0;
@@ -997,8 +1018,10 @@ double CoSchedulePredictor::CapacityCeiling(const WorkloadDescription& workload,
     for (int core = socket * cores_per_socket; core < (socket + 1) * cores_per_socket;
          ++core) {
       const int count = per_core[core];
+      const bool shared = occupied[core] >= 2;
       on_socket += count;
-      sum += std::min(count * f_initial, count >= 2 ? shared_core : one_thread);
+      sum += std::min(count * (shared ? f_shared : f_initial),
+                      shared ? shared_core : one_thread);
     }
     const bool used = on_socket > 0;
     active[socket] = used ? 1 : 0;

@@ -85,26 +85,34 @@ class CoSchedulePredictor {
   // no clamp runs, and the ceiling is +infinity.
   double SpeedupCeiling(const WorkloadDescription& workload, int threads) const;
 
-  // A ceiling on the speedup a solo solve of `workload` at `placement` can
-  // report, from the machine's capacities (DESIGN.md, "Bound-and-prune
-  // probes"). At a fixed point of §5 every resource r carries
-  // Σ_t rate(t,r) · u(t) ≤ cap(r), where u(t) = f_initial / s_overall(t) ≤
-  // f_initial and the speedup is Σ_t u(t). A nested relaxation bounds that
-  // sum in one pass over the cores and two over the DRAM nodes and links,
-  // with no allocation after a thread's first call:
-  //   - each core contributes min(threads × f_initial, cap / rate over the
-  //     four core planes), the issue cap being smt_combined_ops when two
-  //     threads share the core;
+  // A ceiling on the speedup a solve can report for `workload` at
+  // `placement`, from the machine's capacities (DESIGN.md, "Bound-and-prune
+  // probes"). `occupancy` is the machine's threads per core, every job's,
+  // `placement`'s own included: a solo job passes placement.PerCore(). At a
+  // fixed point of §5 every resource r carries Σ_t rate(t,r) · u(t) ≤
+  // cap(r) over all jobs' threads, so over the job's own too, where u(t) =
+  // f_initial / s_overall(t) ≤ f_initial and the job's speedup is Σ_t u(t).
+  // A thread on a core that runs two threads or more, of any job, has
+  // s_overall ≥ 1 + b · f_initial (§5.1's burstiness), b as the solver
+  // applies it; b is taken as 0 when max_iterations is below 100, which can
+  // stop a solve in its transient, short of the fixed point the floor
+  // needs. A nested relaxation bounds the job's sum in
+  // one pass over the cores and two over the DRAM nodes and links, with no
+  // allocation after a thread's first call:
+  //   - each core contributes min(threads × u_max, cap / rate over the four
+  //     core planes), where u_max is f_initial / (1 + b · f_initial) on a
+  //     shared core and f_initial otherwise, and the issue cap is
+  //     smt_combined_ops on a shared core;
   //   - each socket's sum is capped by L3Agg cap / L3 rate;
   //   - each DRAM node and link, routed as the solver routes the workload's
   //     memory policy, caps the one socket that sends it traffic, or the
   //     sum of several.
-  // Solo jobs only: co-runners share SMT cores and resources. The argument
-  // covers exact fixed points; solves that stop at convergence_eps or at
-  // max_iterations rest on kCapacityCeilingSlack and a property test. Like
-  // SpeedupCeiling, +infinity when the options stop after one iteration.
-  double CapacityCeiling(const WorkloadDescription& workload,
-                         const Placement& placement) const;
+  // The argument covers exact fixed points; solves that stop at
+  // convergence_eps or at max_iterations rest on kCapacityCeilingSlack and
+  // two property tests, solo and joint. Like SpeedupCeiling, +infinity when
+  // the options stop after one iteration.
+  double CapacityCeiling(const WorkloadDescription& workload, const Placement& placement,
+                         std::span<const uint8_t> occupancy) const;
 
   const MachineDescription& machine() const { return machine_; }
   const PredictionOptions& options() const { return options_; }

@@ -104,7 +104,7 @@ StatusOr<Prediction> Predictor::TryPredict(const Placement& placement) const {
 
 double Predictor::SpeedupCeiling(const Placement& placement) const {
   return std::min(engine_->SpeedupCeiling(workload_, placement.TotalThreads()),
-                  engine_->CapacityCeiling(workload_, placement) *
+                  engine_->CapacityCeiling(workload_, placement, placement.PerCore()) *
                       (1.0 + kCapacityCeilingSlack));
 }
 

@@ -66,9 +66,11 @@ inline constexpr double kDivergenceDelta = 0.01;
 // CapacityCeiling). Its fixed-point argument covers exact fixed points, and
 // rounding in the ceiling's own sums is about 1e-16 relative; a solve that
 // stops at convergence_eps or max_iterations is not a fixed point. Over
-// every optimizer candidate of the suite on the four paper machines, no
-// solve exceeds its capacity ceiling by more than 1e-15 relative
-// (CoSchedule.SoloSpeedupNeverExceedsItsCapacityCeiling), so 1e-4 leaves
+// every optimizer candidate of the suite on the four paper machines, and
+// over 75,177 job predictions of random joint schedules, no solve exceeds
+// its capacity ceiling by more than 1.2e-9 relative
+// (CoSchedule.SoloSpeedupNeverExceedsItsCapacityCeiling and
+// CoSchedule.JointSpeedupNeverExceedsItsCapacityCeiling), so 1e-4 leaves
 // ample margin at a cost of under 0.1% more solves.
 inline constexpr double kCapacityCeilingSlack = 1e-4;
 
@@ -127,8 +129,9 @@ class Predictor {
   // A ceiling on the speedup Predict can report for `placement`: the lower
   // of the Amdahl ceiling of its thread count (CoSchedulePredictor::
   // SpeedupCeiling) and its capacity ceiling (CoSchedulePredictor::
-  // CapacityCeiling) raised by kCapacityCeilingSlack. +infinity when the
-  // options stop after one iteration (iterate off or max_iterations < 2).
+  // CapacityCeiling, the job alone on the machine, burstiness floor
+  // included) raised by kCapacityCeilingSlack. +infinity when the options
+  // stop after one iteration (iterate off or max_iterations < 2).
   double SpeedupCeiling(const Placement& placement) const;
 
   const MachineDescription& machine() const { return machine_; }

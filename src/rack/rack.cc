@@ -348,17 +348,21 @@ std::optional<Rack::Candidate> Rack::ProbeMachine(int machine_index,
     return interference ? candidate.total_speedup : candidate.job_speedup;
   };
 
-  // Bound and prune. The speedup ceiling depends on the thread count alone,
+  // Bound and prune. The Amdahl ceiling depends on the thread count alone,
   // so the candidates of one thread count form a class of equal ceiling.
   // Classes are visited in descending ceiling order, stable on thread
-  // count, and candidates in enumeration order within a class: the order
-  // of a stable sort of every candidate by ceiling. A candidate is skipped
-  // when its ceiling cannot beat the incumbent: below it, or equal to it
-  // and later in enumeration order, keyed by (threads, index within class)
-  // (the exhaustive scan keeps the first of equal candidates). The first
-  // enumerated maximum is never skipped and no later candidate displaces
-  // it, so the result is the exhaustive scan's. A class whose first
-  // candidate would be skipped is skipped whole, without being built.
+  // count, and candidates in enumeration order within a class. A candidate
+  // is skipped when its ceiling cannot beat the incumbent: below it, or
+  // equal to it and later in enumeration order, keyed by (threads, index
+  // within class) (the exhaustive scan keeps the first of equal
+  // candidates). A class whose first candidate would be skipped by the
+  // class ceiling is skipped whole, without being built; each candidate
+  // still to solve is checked again just before its solve, against its
+  // capacity ceiling at the machine's occupancy with it placed, raised by
+  // kCapacityCeilingSlack and capped by the class ceiling. Every ceiling
+  // bounds the candidate's joint speedup, so the first enumerated maximum
+  // is never skipped and no later candidate displaces it: the result is
+  // the exhaustive scan's.
   const CoSchedulePredictor& engine = engines_[machine_index];
   struct CeilingClass {
     int threads;
@@ -397,6 +401,7 @@ std::optional<Rack::Candidate> Rack::ProbeMachine(int machine_index,
   }
   CoSchedulePrediction joint;
   std::vector<Placement> placements;  // the class being scanned
+  std::vector<uint8_t> occupancy(layout.free.size());  // with the candidate placed
   uint64_t built = 0;
   uint64_t solves = 0;
   for (const CeilingClass& ceiling_class : classes) {
@@ -410,6 +415,19 @@ std::optional<Rack::Candidate> Rack::ProbeMachine(int machine_index,
       const Key key{ceiling_class.threads, i};
       if (cannot_win(ceiling_class.ceiling, key)) {
         continue;
+      }
+      if (!interference) {
+        const std::vector<uint8_t>& per_core = placements[i].PerCore();
+        for (size_t c = 0; c < occupancy.size(); ++c) {
+          occupancy[c] =
+              static_cast<uint8_t>(topo.threads_per_core - layout.free[c] + per_core[c]);
+        }
+        const double capacity =
+            engine.CapacityCeiling(workload, placements[i], occupancy) *
+            (1.0 + kCapacityCeilingSlack);
+        if (cannot_win(std::min(ceiling_class.ceiling, capacity), key)) {
+          continue;
+        }
       }
       // Joint prediction with the machine's residents. Not memoized: each
       // candidate is a novel transient context, and inserting thousands of

@@ -164,14 +164,16 @@ class Rack {
   // `exclude_job` evaluates the machine as if that resident had already
   // left, as every re-placement probe (ChooseMove) does.
   //
-  // Candidates whose speedup ceiling (CoSchedulePredictor::SpeedupCeiling)
-  // cannot beat the best solved so far are not solved, so the result is
-  // the exhaustive scan's bit for bit. The ceiling depends on the thread
-  // count alone, and a thread count none of whose candidates can win is
-  // not enumerated at all. `must_beat` is a job speedup the caller rejects
-  // at or below: candidates that cannot exceed it are not solved either, so
-  // whenever the exhaustive best does not exceed it the result is nullopt
-  // or some candidate that does not exceed it.
+  // Candidates whose speedup ceiling cannot beat the best solved so far
+  // are not solved, so the result is the exhaustive scan's bit for bit. A
+  // thread count whose Amdahl ceiling (CoSchedulePredictor::SpeedupCeiling)
+  // cannot win is not enumerated at all; every other candidate is checked
+  // against its capacity ceiling (CoSchedulePredictor::CapacityCeiling at
+  // the machine's occupancy with it placed) before its joint solve. Least
+  // interference has no ceiling. `must_beat` is a job speedup the caller
+  // rejects at or below: candidates that cannot exceed it are not solved
+  // either, so whenever the exhaustive best does not exceed it the result
+  // is nullopt or some candidate that does not exceed it.
   std::optional<Candidate> BestCandidateOn(
       int machine_index, const JobRequest& job, Policy policy,
       const std::string* exclude_job = nullptr,

@@ -257,7 +257,8 @@ TEST(CoSchedule, SoloSpeedupNeverExceedsItsCapacityCeiling) {
         const CoSchedulePredictor engine(pipeline.description(), options);
         for (const Placement& placement : candidates) {
           const Prediction prediction = predictor.Predict(placement);
-          const double ceiling = engine.CapacityCeiling(desc, placement);
+          const double ceiling =
+              engine.CapacityCeiling(desc, placement, placement.PerCore());
           const double excess = prediction.speedup / ceiling - 1.0;
           worst_excess = std::max(worst_excess, excess);
           // Tight where a resource binds: the ceiling is below Amdahl's.
@@ -294,7 +295,8 @@ TEST(CoSchedule, SoloSpeedupNeverExceedsItsCapacityCeiling) {
     const WorkloadDescription bwaves = pipeline.Profile(workloads::ByName("Bwaves"));
     const Placement one_socket = Placement::OnePerCore(pipeline.machine().topology(), 8);
     const CoSchedulePredictor engine(pipeline.description());
-    const double ceiling = engine.CapacityCeiling(bwaves, one_socket);
+    const double ceiling =
+        engine.CapacityCeiling(bwaves, one_socket, one_socket.PerCore());
     EXPECT_NEAR(pipeline.MakePredictor(bwaves).Predict(one_socket).speedup / ceiling, 1.0,
                 1e-9);
     EXPECT_LT(ceiling, engine.SpeedupCeiling(bwaves, 8) * 0.999);
@@ -310,12 +312,155 @@ TEST(CoSchedule, SoloSpeedupNeverExceedsItsCapacityCeiling) {
     options.iterate = iterate;
     options.max_iterations = iterate ? 1 : 1000;
     EXPECT_EQ(CoSchedulePredictor(X3().description(), options)
-                  .CapacityCeiling(desc, placement),
+                  .CapacityCeiling(desc, placement, placement.PerCore()),
               inf);
     EXPECT_EQ(X3().MakePredictor(desc, options).SpeedupCeiling(placement), inf);
   }
-  EXPECT_LT(CoSchedulePredictor(X3().description()).CapacityCeiling(desc, placement),
+  EXPECT_LT(CoSchedulePredictor(X3().description())
+                .CapacityCeiling(desc, placement, placement.PerCore()),
             CoSchedulePredictor(X3().description()).SpeedupCeiling(desc, 16));
+}
+
+// Schedules per machine in JointSpeedupNeverExceedsItsCapacityCeiling.
+constexpr int kJointSchedules = 1500;
+
+// A seeded joint schedule of 2-7 jobs drawn from `suite`, within the
+// machine's SMT slots, as the rack packs jobs. Each job takes up to two
+// sockets' worth of threads, walking the cores from a random one or
+// scattering over random cores, one or more threads per core, so jobs
+// share cores.
+std::vector<CoScheduleRequest> RandomSharedSchedule(
+    Rng& rng, const MachineTopology& topo, const std::vector<WorkloadDescription>& suite) {
+  const int num_cores = topo.NumCores();
+  const int slots = topo.threads_per_core;
+  std::vector<int> free(static_cast<size_t>(num_cores), slots);
+  int free_total = num_cores * slots;
+  std::vector<CoScheduleRequest> requests;
+  const int num_jobs = 2 + static_cast<int>(rng.NextBounded(6));
+  for (int r = 0; r < num_jobs && free_total > 0; ++r) {
+    std::vector<uint8_t> per_core(static_cast<size_t>(num_cores), 0);
+    int want = 1 + static_cast<int>(
+                       rng.NextBounded(std::min(free_total, 2 * topo.cores_per_socket)));
+    const bool scatter = rng.NextBounded(2) == 0;
+    const int per_step = 1 + static_cast<int>(rng.NextBounded(slots));
+    int core = static_cast<int>(rng.NextBounded(num_cores));
+    while (want > 0) {
+      core = scatter ? static_cast<int>(rng.NextBounded(num_cores)) : (core + 1) % num_cores;
+      const int take = std::min({free[core], per_step, want});
+      per_core[core] = static_cast<uint8_t>(per_core[core] + take);
+      free[core] -= take;
+      free_total -= take;
+      want -= take;
+    }
+    requests.push_back(CoScheduleRequest{&suite[rng.NextBounded(suite.size())],
+                                         Placement(topo, std::move(per_core))});
+  }
+  return requests;
+}
+
+// The machine's threads per core, every job's.
+std::vector<uint8_t> Occupancy(std::span<const CoScheduleRequest> requests) {
+  std::vector<uint8_t> occupancy(requests.front().placement.PerCore().size(), 0);
+  for (const CoScheduleRequest& request : requests) {
+    for (size_t c = 0; c < occupancy.size(); ++c) {
+      occupancy[c] = static_cast<uint8_t>(occupancy[c] + request.placement.PerCore()[c]);
+    }
+  }
+  return occupancy;
+}
+
+// CapacityCeiling is admissible inside joint solves: a job's own loads never
+// exceed the machine's, so at the machine's combined occupancy no job of a
+// seeded joint schedule (2-7 suite jobs sharing SMT cores, on all four
+// paper machines, at max_iterations 2, 3 and 1000) exceeds its ceiling by
+// more than kCapacityCeilingSlack, converged or not. The rack's probes
+// prune by it. Where every core a compute-bound job runs on is shared and
+// no plane is over capacity, §5.1's burstiness floor is the binding term
+// and a prediction meets it.
+TEST(CoSchedule, JointSpeedupNeverExceedsItsCapacityCeiling) {
+  int checked = 0;
+  int non_converged = 0;
+  int violations = 0;
+  int shared_between_jobs = 0;  // cores holding threads of two jobs or more
+  double worst_excess = -1.0;   // the largest speedup / ceiling - 1
+  for (const char* type : {"x5-2", "x4-2", "x3-2", "x2-4"}) {
+    const eval::Pipeline pipeline(type);
+    const MachineTopology& topo = pipeline.machine().topology();
+    std::vector<WorkloadDescription> suite;
+    for (const sim::WorkloadSpec& workload : workloads::EvaluationSuite()) {
+      suite.push_back(pipeline.Profile(workload));
+    }
+    std::vector<CoSchedulePredictor> engines;
+    for (const int max_iterations : {2, 3, 1000}) {
+      PredictionOptions options;
+      options.max_iterations = max_iterations;
+      engines.emplace_back(pipeline.description(), options);
+    }
+    Rng rng(27);
+    for (int schedule = 0; schedule < kJointSchedules; ++schedule) {
+      const std::vector<CoScheduleRequest> requests = RandomSharedSchedule(rng, topo, suite);
+      const std::vector<uint8_t> occupancy = Occupancy(requests);
+      for (int c = 0; c < topo.NumCores(); ++c) {
+        int owners = 0;
+        for (const CoScheduleRequest& request : requests) {
+          owners += request.placement.ThreadsOnCore(c) > 0 ? 1 : 0;
+        }
+        shared_between_jobs += owners > 1 ? 1 : 0;
+      }
+      for (const CoSchedulePredictor& engine : engines) {
+        const CoSchedulePrediction joint = engine.Predict(requests);
+        for (size_t j = 0; j < requests.size(); ++j) {
+          const double speedup = joint.jobs[j].speedup;
+          const double ceiling = engine.CapacityCeiling(*requests[j].workload,
+                                                        requests[j].placement, occupancy);
+          worst_excess = std::max(worst_excess, speedup / ceiling - 1.0);
+          if (speedup > ceiling * (1.0 + kCapacityCeilingSlack) && ++violations <= 5) {
+            ADD_FAILURE() << type << " schedule " << schedule
+                          << " max_iterations=" << engine.options().max_iterations
+                          << " job " << j << " ("
+                          << workloads::EvaluationSuite()[requests[j].workload - suite.data()]
+                                 .name
+                          << " "
+                          << requests[j].placement.ToString() << "): speedup " << speedup
+                          << " above capacity ceiling " << ceiling;
+          }
+          non_converged += joint.jobs[j].converged ? 0 : 1;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0);
+  EXPECT_GT(checked, 70000);
+  EXPECT_GT(non_converged, 0);
+  EXPECT_GT(shared_between_jobs, 0);
+  RecordProperty("worst_relative_excess", StrFormat("%.3g", worst_excess));
+  RecordProperty("checked", checked);
+  RecordProperty("non_converged", non_converged);
+
+  // PRH, one thread on each core of socket 0, shares every core with a
+  // serial job: no plane is over capacity, so each of its threads slows by
+  // exactly 1 + b * f_initial, and the floor makes the ceiling its speedup.
+  const WorkloadDescription& prh = Desc("PRH");
+  ASSERT_GT(prh.burstiness, 0.5);
+  WorkloadDescription serial = Desc("EP");
+  serial.parallel_fraction = 0.0;
+  const MachineTopology& topo = X3().machine().topology();
+  const int threads = topo.cores_per_socket;
+  const std::vector<SocketLoad> loads{{threads, 0}, {0, 0}};
+  const Placement socket0 = Placement::FromSocketLoads(topo, loads);
+  const std::vector<CoScheduleRequest> requests{{&prh, socket0}, {&serial, socket0}};
+  const CoSchedulePredictor engine(X3().description());
+  const Prediction joint = engine.Predict(requests).jobs[0];
+  const double ceiling = engine.CapacityCeiling(prh, socket0, Occupancy(requests));
+  const double f_initial = engine.SpeedupCeiling(prh, threads) / threads;
+  EXPECT_NEAR(ceiling, threads * f_initial / (1.0 + prh.burstiness * f_initial),
+              1e-12 * ceiling);
+  EXPECT_TRUE(joint.converged);
+  EXPECT_NEAR(joint.speedup / ceiling, 1.0, 1e-9);
+  // Alone on the same cores it shares none of them: no floor.
+  EXPECT_NEAR(engine.CapacityCeiling(prh, socket0, socket0.PerCore()),
+              threads * f_initial, 1e-12 * ceiling);
 }
 
 TEST(CoScheduleDeath, RejectsEmptyRequests) {

@@ -230,12 +230,15 @@ TEST(OptimizerSearch, PrunedSearchMatchesTheExhaustiveScan) {
 
 // Where the capacity ceiling prunes hardest and is tightest: bandwidth-bound
 // workloads whose best placements run close to what a shared resource
-// carries. At default options (x2-4 sampled at 4000), top 1, 2 and 5 and
-// cheapest at 0.5 to 1.0 of the best are the exhaustive scans' answers bit
-// for bit at jobs 1 and 4, and both job counts solve the same candidates.
+// carries, and bursty ones (b of 0.6 to 1.0) whose SMT placements the
+// burstiness floor bounds. At default options (x2-4 sampled at 4000), top
+// 1, 2 and 5 and cheapest at 0.5 to 1.0 of the best are the exhaustive
+// scans' answers bit for bit at jobs 1 and 4, and both job counts solve
+// the same candidates.
 TEST(OptimizerSearch, TightCapacityCasesMatchTheExhaustiveScan) {
   const std::vector<std::pair<std::string, std::string>> cases = {
-      {"x3-2", "Art"}, {"x3-2", "FT"}, {"x4-2", "Swim"}, {"x2-4", "Bwaves"}};
+      {"x3-2", "Art"},       {"x3-2", "FT"},   {"x3-2", "PRH"},  {"x3-2", "PRHO"},
+      {"x3-2", "Sort-Join"}, {"x4-2", "Swim"}, {"x5-2", "PRHO"}, {"x2-4", "Bwaves"}};
   for (const auto& [machine, workload] : cases) {
     SCOPED_TRACE(machine + " " + workload);
     const eval::Pipeline& pipeline = PipelineFor(machine);

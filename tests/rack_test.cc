@@ -450,8 +450,8 @@ uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 // most something the caller rejects too.
 TEST(RackSearch, PrunedSearchMatchesTheExhaustiveScanOnRandomRacks) {
   const std::vector<std::string> types = {"x5-2", "x4-2", "x3-2", "x2-4"};
-  const std::vector<std::string> suite = {"EP", "CG",     "MD",    "Swim",
-                                          "BT", "Bwaves", "NPO-1T"};
+  const std::vector<std::string> suite = {"EP",     "CG",     "MD",  "Swim",     "BT",
+                                          "Bwaves", "NPO-1T", "PRH", "Sort-Join"};
   const std::vector<Policy> policies = {Policy::kBestSpeedup,
                                         Policy::kLeastInterference,
                                         Policy::kFirstFit};
@@ -585,8 +585,8 @@ TEST(RackSearch, PrunedSearchMatchesTheExhaustiveScanOnRandomRacks) {
 // finds nothing. Serial first fit solves on the chosen machine only.
 TEST(RackSearch, ChooseMatchesTheExhaustiveFoldAcrossMachines) {
   const std::vector<std::string> types = {"x5-2", "x4-2", "x3-2", "x2-4"};
-  const std::vector<std::string> suite = {"EP", "CG",     "MD",    "Swim",
-                                          "BT", "Bwaves", "NPO-1T"};
+  const std::vector<std::string> suite = {"EP",     "CG",     "MD",  "Swim",     "BT",
+                                          "Bwaves", "NPO-1T", "PRH", "Sort-Join"};
   const std::vector<Policy> policies = {Policy::kBestSpeedup,
                                         Policy::kLeastInterference,
                                         Policy::kFirstFit};
@@ -712,8 +712,8 @@ TEST(RackSearch, ChooseMatchesTheExhaustiveFoldAcrossMachines) {
 // A re-placement that only ties the current speedup is never taken.
 TEST(RackSearch, MoveMatchesTheExhaustiveFold) {
   const std::vector<std::string> types = {"x5-2", "x4-2", "x3-2", "x2-4"};
-  const std::vector<std::string> suite = {"EP", "CG",     "MD",    "Swim",
-                                          "BT", "Bwaves", "NPO-1T"};
+  const std::vector<std::string> suite = {"EP",     "CG",     "MD",  "Swim",     "BT",
+                                          "Bwaves", "NPO-1T", "PRH", "Sort-Join"};
   const obs::Counter& solves =
       obs::MetricsRegistry::Global().counter("rack.probe.solves");
   Rng rng(26);
