@@ -32,16 +32,9 @@ double InstructionRate(const pandia::sim::Machine& machine, int n, bool backgrou
     return Placement(topo, std::move(per_core));
   }();
   const sim::WorkloadSpec loop = stress::CpuStressor();
-  const sim::WorkloadSpec filler = stress::BackgroundFiller();
-  std::vector<sim::JobRequest> jobs{{&loop, placement, false}};
-  std::optional<Placement> filler_placement;
-  if (background) {
-    filler_placement = stress::FillerPlacement(topo, std::span(&placement, 1));
-    if (filler_placement.has_value()) {
-      jobs.push_back(sim::JobRequest{&filler, *filler_placement, true});
-    }
-  }
-  const sim::RunResult result = machine.Run(jobs);
+  const sim::JobRequest job{&loop, placement, false};
+  const sim::RunResult result = background ? stress::RunFilled(machine, std::span(&job, 1))
+                                           : machine.Run(std::span(&job, 1));
   const CounterView view(machine, result, 0);
   return view.Instructions() / view.CompletionTime();
 }

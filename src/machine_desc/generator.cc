@@ -13,16 +13,9 @@ namespace {
 // returns the counter view of the stressor job (index 0). The RunResult is
 // returned through `result` to keep the view valid.
 CounterView MeasureRun(const sim::Machine& machine, const sim::WorkloadSpec& stressor,
-                       const Placement& placement, const sim::WorkloadSpec& filler,
-                       sim::RunResult& result) {
-  std::vector<sim::JobRequest> jobs;
-  jobs.push_back(sim::JobRequest{&stressor, placement, /*background=*/false});
-  const std::optional<Placement> filler_placement =
-      stress::FillerPlacement(machine.topology(), std::span(&placement, 1));
-  if (filler_placement.has_value()) {
-    jobs.push_back(sim::JobRequest{&filler, *filler_placement, /*background=*/true});
-  }
-  result = machine.Run(jobs);
+                       const Placement& placement, sim::RunResult& result) {
+  const sim::JobRequest job{&stressor, placement, /*background=*/false};
+  result = stress::RunFilled(machine, std::span(&job, 1));
   return CounterView(machine, result, /*job_index=*/0);
 }
 
@@ -31,7 +24,6 @@ CounterView MeasureRun(const sim::Machine& machine, const sim::WorkloadSpec& str
 MachineDescription GenerateMachineDescription(const sim::Machine& machine) {
   const MachineTopology& topo = machine.topology();
   const ResourceIndex& index = machine.index();
-  const sim::WorkloadSpec filler = stress::BackgroundFiller();
 
   MachineDescription desc;
   desc.topo = topo;
@@ -42,7 +34,7 @@ MachineDescription GenerateMachineDescription(const sim::Machine& machine) {
   {
     const sim::WorkloadSpec cpu = stress::CpuStressor();
     const CounterView view =
-        MeasureRun(machine, cpu, Placement::OnePerCore(topo, 1), filler, result);
+        MeasureRun(machine, cpu, Placement::OnePerCore(topo, 1), result);
     desc.core_ops = view.Instructions() / view.CompletionTime();
   }
 
@@ -50,7 +42,7 @@ MachineDescription GenerateMachineDescription(const sim::Machine& machine) {
   if (topo.threads_per_core >= 2) {
     const sim::WorkloadSpec cpu = stress::CpuStressor();
     const CounterView view =
-        MeasureRun(machine, cpu, Placement::TwoPerCore(topo, 2), filler, result);
+        MeasureRun(machine, cpu, Placement::TwoPerCore(topo, 2), result);
     desc.smt_combined_ops = view.Instructions() / view.CompletionTime();
   } else {
     desc.smt_combined_ops = desc.core_ops;
@@ -60,19 +52,19 @@ MachineDescription GenerateMachineDescription(const sim::Machine& machine) {
   {
     const sim::WorkloadSpec l1 = stress::L1Stressor();
     const CounterView view =
-        MeasureRun(machine, l1, Placement::OnePerCore(topo, 1), filler, result);
+        MeasureRun(machine, l1, Placement::OnePerCore(topo, 1), result);
     desc.l1_bw = view.L1Bytes() / view.CompletionTime();
   }
   {
     const sim::WorkloadSpec l2 = stress::L2Stressor();
     const CounterView view =
-        MeasureRun(machine, l2, Placement::OnePerCore(topo, 1), filler, result);
+        MeasureRun(machine, l2, Placement::OnePerCore(topo, 1), result);
     desc.l2_bw = view.L2Bytes() / view.CompletionTime();
   }
   {
     const sim::WorkloadSpec l3 = stress::L3Stressor();
     const CounterView view =
-        MeasureRun(machine, l3, Placement::OnePerCore(topo, 1), filler, result);
+        MeasureRun(machine, l3, Placement::OnePerCore(topo, 1), result);
     desc.l3_port_bw = view.L3Bytes() / view.CompletionTime();
   }
 
@@ -82,7 +74,7 @@ MachineDescription GenerateMachineDescription(const sim::Machine& machine) {
   {
     const sim::WorkloadSpec l3 = stress::L3Stressor();
     const CounterView view = MeasureRun(
-        machine, l3, Placement::OnePerCore(topo, topo.cores_per_socket), filler, result);
+        machine, l3, Placement::OnePerCore(topo, topo.cores_per_socket), result);
     const double observed =
         view.ResourceConsumption(index.L3Agg(0)) / view.CompletionTime();
     // The cache cannot deliver more than its ports can request.
@@ -94,8 +86,7 @@ MachineDescription GenerateMachineDescription(const sim::Machine& machine) {
   {
     const sim::WorkloadSpec dram = stress::DramStressor();
     const CounterView view = MeasureRun(
-        machine, dram, Placement::OnePerCore(topo, topo.cores_per_socket), filler,
-        result);
+        machine, dram, Placement::OnePerCore(topo, topo.cores_per_socket), result);
     desc.dram_bw = view.ResourceConsumption(index.Dram(0)) / view.CompletionTime();
   }
 
@@ -107,7 +98,7 @@ MachineDescription GenerateMachineDescription(const sim::Machine& machine) {
     std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
     loads[1] = SocketLoad{topo.cores_per_socket, 0};
     const Placement placement = Placement::FromSocketLoads(topo, loads);
-    const CounterView view = MeasureRun(machine, remote, placement, filler, result);
+    const CounterView view = MeasureRun(machine, remote, placement, result);
     desc.link_bw = view.ResourceConsumption(index.Link(0, 1)) / view.CompletionTime();
   } else {
     desc.link_bw = 0.0;

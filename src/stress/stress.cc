@@ -1,5 +1,7 @@
 #include "src/stress/stress.h"
 
+#include <vector>
+
 namespace pandia {
 namespace stress {
 namespace {
@@ -104,6 +106,24 @@ std::optional<Placement> FillerPlacement(const MachineTopology& topo,
     return std::nullopt;
   }
   return Placement(topo, std::move(per_core));
+}
+
+sim::RunResult RunFilled(const sim::Machine& machine,
+                         std::span<const sim::JobRequest> jobs, uint64_t fault_nonce) {
+  std::vector<Placement> occupied;
+  occupied.reserve(jobs.size());
+  for (const sim::JobRequest& job : jobs) {
+    occupied.push_back(job.placement);
+  }
+  const std::optional<Placement> filler_placement =
+      FillerPlacement(machine.topology(), occupied);
+  if (!filler_placement.has_value()) {
+    return machine.Run(jobs, fault_nonce);
+  }
+  const sim::WorkloadSpec filler = BackgroundFiller();
+  std::vector<sim::JobRequest> filled(jobs.begin(), jobs.end());
+  filled.push_back(sim::JobRequest{&filler, *filler_placement, /*background=*/true});
+  return machine.Run(filled, fault_nonce);
 }
 
 }  // namespace stress

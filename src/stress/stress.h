@@ -6,7 +6,7 @@
 // (one access per cache line, prefetch-friendly); the DRAM stressor uses an
 // array far larger than the LLC. The background filler is the core-local
 // CPU-bound load used to pin Turbo Boost at its all-core bin while
-// profiling (§6.3).
+// measuring (§6.3); RunFilled is the one place that applies it.
 //
 // Demand values model those access patterns: 64-byte lines per iteration,
 // with address-generation overhead limiting a single thread's DRAM rate the
@@ -14,9 +14,11 @@
 #ifndef PANDIA_SRC_STRESS_STRESS_H_
 #define PANDIA_SRC_STRESS_STRESS_H_
 
+#include <cstdint>
 #include <optional>
 #include <span>
 
+#include "src/sim/machine.h"
 #include "src/sim/workload_spec.h"
 #include "src/topology/placement.h"
 
@@ -48,6 +50,12 @@ sim::WorkloadSpec BackgroundFiller();
 // (a filler job needs at least one thread).
 std::optional<Placement> FillerPlacement(const MachineTopology& topo,
                                          std::span<const Placement> occupied);
+
+// sim::Machine::Run of `jobs` plus, last, a background filler on every core
+// no job occupies (none when all are), so they see the all-core Turbo bin.
+sim::RunResult RunFilled(const sim::Machine& machine,
+                         std::span<const sim::JobRequest> jobs,
+                         uint64_t fault_nonce = 0);
 
 }  // namespace stress
 }  // namespace pandia

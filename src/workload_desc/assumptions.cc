@@ -13,19 +13,6 @@ namespace {
 constexpr double kWorkGrowthTolerance = 0.02;  // per added thread
 constexpr double kBusySkewTolerance = 0.08;
 
-// Runs the workload with idle cores filled and returns the counter view.
-sim::RunResult FilledRun(const sim::Machine& machine, const sim::WorkloadSpec& workload,
-                         const Placement& placement) {
-  static const sim::WorkloadSpec filler = stress::BackgroundFiller();
-  std::vector<sim::JobRequest> jobs{{&workload, placement, /*background=*/false}};
-  const std::optional<Placement> filler_placement =
-      stress::FillerPlacement(machine.topology(), std::span(&placement, 1));
-  if (filler_placement.has_value()) {
-    jobs.push_back(sim::JobRequest{&filler, *filler_placement, /*background=*/true});
-  }
-  return machine.Run(jobs);
-}
-
 }  // namespace
 
 AssumptionReport ValidateAssumptions(const sim::Machine& machine,
@@ -38,10 +25,12 @@ AssumptionReport ValidateAssumptions(const sim::Machine& machine,
   // count exposes quantized loops that happen to divide evenly.
   const int n = std::max(3, std::min(topo.cores_per_socket - 1, 7));
 
-  const sim::RunResult solo_run =
-      FilledRun(machine, workload, Placement::OnePerCore(topo, 1));
-  const sim::RunResult multi_run =
-      FilledRun(machine, workload, Placement::OnePerCore(topo, n));
+  const sim::JobRequest solo_job{&workload, Placement::OnePerCore(topo, 1),
+                                 /*background=*/false};
+  const sim::JobRequest multi_job{&workload, Placement::OnePerCore(topo, n),
+                                  /*background=*/false};
+  const sim::RunResult solo_run = stress::RunFilled(machine, std::span(&solo_job, 1));
+  const sim::RunResult multi_run = stress::RunFilled(machine, std::span(&multi_job, 1));
   const CounterView solo(machine, solo_run, 0);
   const CounterView multi(machine, multi_run, 0);
 

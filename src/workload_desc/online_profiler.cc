@@ -1,9 +1,7 @@
 #include "src/workload_desc/online_profiler.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "src/predictor/predictor.h"
 #include "src/util/check.h"
 #include "src/workload_desc/profiler.h"
 
@@ -22,14 +20,15 @@ EpochKind Classify(const Placement& placement) {
   if (placement.TotalThreads() == 1) {
     return EpochKind::kSingle;
   }
-  const std::vector<SocketLoad> loads = placement.SocketLoads();
   int active = 0;
   int singles = 0;
   int doubles = 0;
-  for (const SocketLoad& load : loads) {
+  int most = 0;  // threads on the busiest socket
+  for (const SocketLoad& load : placement.SocketLoads()) {
     active += load.Threads() > 0 ? 1 : 0;
     singles += load.singles;
     doubles += load.doubles;
+    most = std::max(most, load.Threads());
   }
   if (active == 1 && doubles == 0) {
     return EpochKind::kParallel;
@@ -37,37 +36,11 @@ EpochKind Classify(const Placement& placement) {
   if (active == 1 && singles == 0 && doubles >= 1) {
     return EpochKind::kSmt;
   }
-  if (active == 2 && doubles == 0) {
-    // Even split over exactly two sockets.
-    std::vector<int> counts;
-    for (const SocketLoad& load : loads) {
-      if (load.Threads() > 0) {
-        counts.push_back(load.Threads());
-      }
-    }
-    if (std::abs(counts[0] - counts[1]) <= 0) {
-      return EpochKind::kCrossSocket;
-    }
+  // Even split over exactly two sockets.
+  if (active == 2 && doubles == 0 && 2 * most == singles) {
+    return EpochKind::kCrossSocket;
   }
   return EpochKind::kOther;
-}
-
-// Predicted relative time, contention-only slowdown, and utilization under
-// the partial description (as in the offline profiler's k_x factors).
-struct Partial {
-  double k = 1.0;
-  double k_slowdown = 1.0;
-  double f = 1.0;
-};
-
-Partial PredictPartial(const MachineDescription& machine,
-                       const WorkloadDescription& description,
-                       const Placement& placement) {
-  const Predictor predictor(machine, description);
-  const Prediction prediction = predictor.Predict(placement);
-  return Partial{1.0 / prediction.speedup,
-                 prediction.amdahl_speedup / prediction.speedup,
-                 prediction.threads.front().utilization};
 }
 
 }  // namespace
@@ -79,8 +52,6 @@ OnlineProfiler::OnlineProfiler(MachineDescription machine, std::string workload_
   description_.machine = machine_.topo.name;
   description_.memory_policy = policy;
   description_.load_balance = 0.5;  // unobservable without perturbation
-  description_.inter_socket_overhead = 0.0;
-  description_.burstiness = 0.0;
 }
 
 bool OnlineProfiler::Observe(const EpochObservation& epoch) {
@@ -88,13 +59,7 @@ bool OnlineProfiler::Observe(const EpochObservation& epoch) {
   switch (Classify(epoch.placement)) {
     case EpochKind::kSingle: {
       description_.t1 = Refine(description_.t1, epoch.time, epochs_single_);
-      ResourceDemandVector sample;
-      sample.instr_rate = epoch.instructions / epoch.time;
-      sample.l1_bw = epoch.l1_bytes / epoch.time;
-      sample.l2_bw = epoch.l2_bytes / epoch.time;
-      sample.l3_bw = epoch.l3_bytes / epoch.time;
-      sample.dram_local_bw = epoch.dram_local_bytes / epoch.time;
-      sample.dram_remote_bw = epoch.dram_remote_bytes / epoch.time;
+      const ResourceDemandVector& sample = epoch.demands;
       ResourceDemandVector& d = description_.demands;
       d.instr_rate = Refine(d.instr_rate, sample.instr_rate, epochs_single_);
       d.l1_bw = Refine(d.l1_bw, sample.l1_bw, epochs_single_);
@@ -113,9 +78,9 @@ bool OnlineProfiler::Observe(const EpochObservation& epoch) {
       if (!ContentionFree(ContentionProbe(machine_, description_), epoch.placement)) {
         return false;  // a contended epoch would contaminate Amdahl's law
       }
-      const int n = epoch.placement.TotalThreads();
-      const double u2 = epoch.time / description_.t1;
-      const double p = std::clamp((1.0 - u2) / (1.0 - 1.0 / n), 0.0, 1.0);
+      const double p = std::clamp(RawParallelFraction(epoch.time / description_.t1,
+                                                      epoch.placement.TotalThreads()),
+                                  0.0, 1.0);
       description_.parallel_fraction =
           Refine(parallel_fraction_known() ? description_.parallel_fraction : 0.0, p,
                  epochs_parallel_);
@@ -128,10 +93,10 @@ bool OnlineProfiler::Observe(const EpochObservation& epoch) {
       }
       WorkloadDescription base = description_;
       base.inter_socket_overhead = 0.0;
-      const Partial partial = PredictPartial(machine_, base, epoch.placement);
-      const double u3 = epoch.time / description_.t1 / partial.k;
-      const int n = epoch.placement.TotalThreads();
-      const double os = std::max(0.0, (u3 - 1.0) * partial.f / (n / 2.0));
+      const double os = std::max(
+          0.0, RawInterSocketOverhead(epoch.time / description_.t1,
+                                      PredictPartial(machine_, base, epoch.placement),
+                                      epoch.placement.TotalThreads()));
       description_.inter_socket_overhead =
           Refine(inter_socket_overhead_known() ? description_.inter_socket_overhead
                                                : 0.0,
@@ -145,14 +110,13 @@ bool OnlineProfiler::Observe(const EpochObservation& epoch) {
       }
       WorkloadDescription base = description_;
       base.burstiness = 0.0;
-      const Partial partial = PredictPartial(machine_, base, epoch.placement);
-      const int n = epoch.placement.TotalThreads();
       // Reference: the Amdahl time for n threads (an online runtime has no
       // dedicated contention-free run 2 at this thread count).
       const double p = description_.parallel_fraction;
-      const double amdahl_time = (1.0 - p) + p / n;
-      const double u6 = epoch.time / description_.t1 / partial.k_slowdown;
-      const double b = std::max(0.0, (u6 / amdahl_time - 1.0) / partial.f);
+      const double amdahl_time = (1.0 - p) + p / epoch.placement.TotalThreads();
+      const double b = std::max(
+          0.0, RawBurstiness(epoch.time / description_.t1,
+                             PredictPartial(machine_, base, epoch.placement), amdahl_time));
       description_.burstiness =
           Refine(burstiness_known() ? description_.burstiness : 0.0, b, epochs_smt_);
       ++epochs_smt_;
@@ -169,29 +133,15 @@ std::optional<Placement> OnlineProfiler::SuggestNextProbe() const {
   if (!demands_known()) {
     return Placement::OnePerCore(topo, 1);
   }
-  // Largest even same-socket one-per-core count that stays contention-free
-  // (mirrors the offline profiler's run-2 choice).
-  const Predictor probe = ContentionProbe(machine_, description_);
-  int n2 = 2;
-  for (int n = 2; n <= topo.cores_per_socket; n += 2) {
-    if (!ContentionFree(probe, Placement::OnePerCore(topo, n))) {
-      break;
-    }
-    n2 = n;
-  }
+  const int n2 = ProfileThreads(machine_, description_);
   if (!parallel_fraction_known()) {
     return Placement::OnePerCore(topo, n2);
   }
   if (!inter_socket_overhead_known() && topo.num_sockets >= 2) {
-    std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
-    loads[0] = SocketLoad{n2 / 2, 0};
-    loads[1] = SocketLoad{n2 / 2, 0};
-    return Placement::FromSocketLoads(topo, loads);
+    return CrossSocketPlacement(topo, n2);
   }
   if (!burstiness_known() && topo.threads_per_core >= 2) {
-    std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
-    loads[0] = SocketLoad{0, n2 / 2};
-    return Placement::FromSocketLoads(topo, loads);
+    return PackedPlacement(topo, n2);
   }
   return std::nullopt;
 }
@@ -199,23 +149,11 @@ std::optional<Placement> OnlineProfiler::SuggestNextProbe() const {
 bool OnlineProfiler::ObserveRun(const sim::Machine& machine,
                                 const sim::WorkloadSpec& workload,
                                 const Placement& placement) {
+  // No filler: a runtime sees its epochs as they run.
   const sim::RunResult result = machine.RunOne(workload, placement);
-  const CounterView view(machine, result, 0);
   EpochObservation epoch{placement};
-  epoch.time = view.CompletionTime();
-  epoch.instructions = view.Instructions();
-  epoch.l1_bytes = view.L1Bytes();
-  epoch.l2_bytes = view.L2Bytes();
-  epoch.l3_bytes = view.L3Bytes();
-  const int home = placement.ThreadLocations().front().socket;
-  epoch.dram_local_bytes = view.DramBytesOnNode(home);
-  double remote = 0.0;
-  for (int s = 0; s < machine.topology().num_sockets; ++s) {
-    if (s != home) {
-      remote += view.DramBytesOnNode(s);
-    }
-  }
-  epoch.dram_remote_bytes = remote;
+  epoch.time = result.jobs.front().completion_time;
+  epoch.demands = MeasuredDemands(machine, result, placement);
   return Observe(epoch);
 }
 

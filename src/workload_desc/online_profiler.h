@@ -19,13 +19,19 @@
 //
 // Epochs that would re-measure an already-pinned parameter refine it by
 // averaging, so the description improves as the loop runs.
+//
+// The §4 steps themselves are the six-run profiler's (profiler.h): the
+// partial prediction, the run-2 thread count, the run-3 and run-6
+// placements, the counter reading and the raw p, o_s and b formulas. This
+// class keeps only epoch classification, step ordering and its running
+// averages. Epochs run without the background filler, as a runtime sees
+// them.
 #ifndef PANDIA_SRC_WORKLOAD_DESC_ONLINE_PROFILER_H_
 #define PANDIA_SRC_WORKLOAD_DESC_ONLINE_PROFILER_H_
 
 #include <optional>
 #include <string>
 
-#include "src/counters/counters.h"
 #include "src/machine_desc/machine_description.h"
 #include "src/sim/machine.h"
 #include "src/workload_desc/description.h"
@@ -33,17 +39,13 @@
 namespace pandia {
 
 // One observed loop epoch: the placement it ran under and the measured
-// completion time of a fixed amount of loop work, plus its counter view.
+// completion time of a fixed amount of loop work, plus its counter rates.
 struct EpochObservation {
   Placement placement;
   double time = 0.0;
-  // Counter aggregates for the epoch (the runtime reads these from perf).
-  double instructions = 0.0;
-  double l1_bytes = 0.0;
-  double l2_bytes = 0.0;
-  double l3_bytes = 0.0;
-  double dram_local_bytes = 0.0;
-  double dram_remote_bytes = 0.0;
+  // The epoch's counters over `time` (a runtime reads the counts from perf),
+  // DRAM traffic split by the memory node of the placement's first thread.
+  ResourceDemandVector demands{};
 };
 
 class OnlineProfiler {

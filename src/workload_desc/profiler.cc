@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,27 +16,6 @@
 
 namespace pandia {
 namespace {
-
-// Relative predicted time (t_pred / t1) and the symmetric thread
-// utilization for a placement under the partial model built so far.
-struct PartialPrediction {
-  double k = 1.0;           // known factors: predicted relative time
-  double k_slowdown = 1.0;  // contention-only part of k (without Amdahl)
-  double f = 1.0;           // predicted thread utilization
-};
-
-PartialPrediction PredictPartial(const MachineDescription& machine,
-                                 const WorkloadDescription& partial,
-                                 const Placement& placement) {
-  const Predictor predictor(machine, partial);
-  const Prediction prediction = predictor.Predict(placement);
-  PartialPrediction result;
-  result.k = 1.0 / prediction.speedup;
-  result.k_slowdown = prediction.amdahl_speedup / prediction.speedup;
-  // Profiling placements are symmetric, so all threads agree.
-  result.f = prediction.threads.front().utilization;
-  return result;
-}
 
 // Salt for the deterministic fault nonces of profiling runs, so profiling
 // draws a different fault stream than any other caller of sim::Machine::Run.
@@ -93,25 +71,13 @@ StatusOr<WorkloadProfiler::TimedSample> WorkloadProfiler::RobustTimedRun(
   PANDIA_CHECK(run_index >= 1 && run_index <= 6);
   std::vector<sim::JobRequest> jobs;
   jobs.push_back(sim::JobRequest{&workload, placement, /*background=*/false});
-  std::vector<Placement> occupied{placement};
   if (corunner != nullptr) {
     PANDIA_CHECK(corunner_placement != nullptr);
     jobs.push_back(sim::JobRequest{corunner, *corunner_placement, /*background=*/true});
-    occupied.push_back(*corunner_placement);
-  }
-  const sim::WorkloadSpec filler = stress::BackgroundFiller();
-  const std::optional<Placement> filler_placement =
-      stress::FillerPlacement(machine_->topology(), occupied);
-  if (filler_placement.has_value()) {
-    jobs.push_back(sim::JobRequest{&filler, *filler_placement, /*background=*/true});
   }
 
   ProfileRunQuality& run_quality = quality.runs[static_cast<size_t>(run_index - 1)];
-  struct Trial {
-    double time;
-    ResourceDemandVector demands;
-  };
-  std::vector<Trial> trials;
+  std::vector<TimedSample> trials;
   trials.reserve(static_cast<size_t>(options.trials));
   for (int trial = 0; trial < options.trials; ++trial) {
     for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
@@ -121,29 +87,16 @@ StatusOr<WorkloadProfiler::TimedSample> WorkloadProfiler::RobustTimedRun(
       const uint64_t nonce =
           HashCombine(kProfileFaultSalt, static_cast<uint64_t>(run_index),
                       static_cast<uint64_t>(trial), static_cast<uint64_t>(attempt));
-      const sim::RunResult result = machine_->Run(jobs, nonce);
+      const sim::RunResult result = stress::RunFilled(*machine_, jobs, nonce);
       const double time = result.jobs.front().completion_time;
       if (result.failed || !std::isfinite(time) || time <= 0.0) {
         ++run_quality.retries;
         continue;
       }
-      Trial sample;
+      TimedSample sample;
       sample.time = time;
       if (want_counters) {
-        const CounterView view(*machine_, result, /*job_index=*/0);
-        sample.demands.instr_rate = view.Instructions() / time;
-        sample.demands.l1_bw = view.L1Bytes() / time;
-        sample.demands.l2_bw = view.L2Bytes() / time;
-        sample.demands.l3_bw = view.L3Bytes() / time;
-        const int home = 0;  // profiling run 1 pins the thread to socket 0
-        sample.demands.dram_local_bw = view.DramBytesOnNode(home) / time;
-        double remote = 0.0;
-        for (int s = 0; s < description_.topo.num_sockets; ++s) {
-          if (s != home) {
-            remote += view.DramBytesOnNode(s);
-          }
-        }
-        sample.demands.dram_remote_bw = remote / time;
+        sample.demands = MeasuredDemands(*machine_, result, placement);
       }
       trials.push_back(sample);
       break;
@@ -161,11 +114,11 @@ StatusOr<WorkloadProfiler::TimedSample> WorkloadProfiler::RobustTimedRun(
   // a meaningful notion of "the rest agree").
   std::vector<double> times;
   times.reserve(trials.size());
-  for (const Trial& t : trials) {
+  for (const TimedSample& t : trials) {
     times.push_back(t.time);
   }
   const double center = Median(times);
-  std::vector<Trial> kept;
+  std::vector<TimedSample> kept;
   if (trials.size() >= 3) {
     std::vector<double> deviations;
     deviations.reserve(times.size());
@@ -175,7 +128,7 @@ StatusOr<WorkloadProfiler::TimedSample> WorkloadProfiler::RobustTimedRun(
     const double sigma = 1.4826 * Median(deviations);  // MAD -> normal sigma
     run_quality.rel_spread = center > 0.0 ? sigma / center : 0.0;
     if (sigma > 1e-12 * center) {
-      for (const Trial& t : trials) {
+      for (const TimedSample& t : trials) {
         if (std::abs(t.time - center) <= 3.0 * sigma) {
           kept.push_back(t);
         } else {
@@ -194,7 +147,7 @@ StatusOr<WorkloadProfiler::TimedSample> WorkloadProfiler::RobustTimedRun(
   {
     std::vector<double> kept_times;
     kept_times.reserve(kept.size());
-    for (const Trial& t : kept) {
+    for (const TimedSample& t : kept) {
       kept_times.push_back(t.time);
     }
     aggregate.time = Median(kept_times);
@@ -204,7 +157,7 @@ StatusOr<WorkloadProfiler::TimedSample> WorkloadProfiler::RobustTimedRun(
       std::vector<double> values;
       values.reserve(kept.size());
       int zeros = 0;
-      for (const Trial& t : kept) {
+      for (const TimedSample& t : kept) {
         const double v = t.demands.*(field.field);
         if (v == 0.0) {
           ++zeros;
@@ -251,19 +204,78 @@ bool ContentionFree(const Predictor& probe, const Placement& placement) {
   return true;
 }
 
-int WorkloadProfiler::ChooseProfileThreads(const WorkloadDescription& partial) const {
+PartialPrediction PredictPartial(const MachineDescription& machine,
+                                 const WorkloadDescription& partial,
+                                 const Placement& placement) {
+  const Predictor predictor(machine, partial);
+  const Prediction prediction = predictor.Predict(placement);
+  return PartialPrediction{1.0 / prediction.speedup,
+                           prediction.amdahl_speedup / prediction.speedup,
+                           prediction.threads.front().utilization};
+}
+
+int ProfileThreads(const MachineDescription& machine, const WorkloadDescription& partial) {
   // Contention-free by construction requires one thread per core on one
   // socket; find the largest even count whose naive demands oversubscribe
   // nothing (checked with the partial model itself).
-  const Predictor probe = ContentionProbe(description_, partial);
+  const Predictor probe = ContentionProbe(machine, partial);
   int best = 2;
-  for (int n = 2; n <= description_.topo.cores_per_socket; n += 2) {
-    if (!ContentionFree(probe, Placement::OnePerCore(description_.topo, n))) {
+  for (int n = 2; n <= machine.topo.cores_per_socket; n += 2) {
+    if (!ContentionFree(probe, Placement::OnePerCore(machine.topo, n))) {
       break;
     }
     best = n;
   }
   return best;
+}
+
+Placement CrossSocketPlacement(const MachineTopology& topo, int n) {
+  std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
+  loads[0] = SocketLoad{n / 2, 0};
+  loads[1] = SocketLoad{n - n / 2, 0};
+  return Placement::FromSocketLoads(topo, loads);
+}
+
+Placement PackedPlacement(const MachineTopology& topo, int n) {
+  std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
+  loads[0] = SocketLoad{0, n / 2};
+  return Placement::FromSocketLoads(topo, loads);
+}
+
+ResourceDemandVector MeasuredDemands(const sim::Machine& machine,
+                                     const sim::RunResult& result,
+                                     const Placement& placement) {
+  const CounterView view(machine, result, /*job_index=*/0);
+  const double time = view.CompletionTime();
+  ResourceDemandVector demands;
+  demands.instr_rate = view.Instructions() / time;
+  demands.l1_bw = view.L1Bytes() / time;
+  demands.l2_bw = view.L2Bytes() / time;
+  demands.l3_bw = view.L3Bytes() / time;
+  const int home = placement.ThreadLocations().front().socket;
+  double remote = 0.0;
+  for (int s = 0; s < machine.topology().num_sockets; ++s) {
+    const double bytes = view.DramBytesOnNode(s);
+    if (s == home) {
+      demands.dram_local_bw = bytes / time;
+    } else {
+      remote += bytes;
+    }
+  }
+  demands.dram_remote_bw = remote / time;
+  return demands;
+}
+
+double RawParallelFraction(double r, int n) { return (1.0 - r) / (1.0 - 1.0 / n); }
+
+double RawInterSocketOverhead(double r, const PartialPrediction& partial, int n) {
+  const double u = r / partial.k;
+  return (u - 1.0) * partial.f / (n / 2.0);
+}
+
+double RawBurstiness(double r, const PartialPrediction& partial, double reference) {
+  const double u = r / partial.k_slowdown;
+  return (u / reference - 1.0) / partial.f;
 }
 
 WorkloadDescription WorkloadProfiler::Profile(const sim::WorkloadSpec& workload) const {
@@ -307,7 +319,7 @@ StatusOr<WorkloadDescription> WorkloadProfiler::ProfileRobust(
   }
 
   // ---- Run 2: contention-free scaling -> parallel fraction (§4.2) ----
-  const int n2 = ChooseProfileThreads(desc);
+  const int n2 = ProfileThreads(description_, desc);
   desc.profile_threads = n2;
   const Placement run2_placement = Placement::OnePerCore(topo, n2);
   {
@@ -316,9 +328,7 @@ StatusOr<WorkloadDescription> WorkloadProfiler::ProfileRobust(
                        /*want_counters=*/false, options, desc.quality);
     PANDIA_RETURN_IF_ERROR(run2.status());
     desc.r2 = run2->time / desc.t1;
-    // u2 = 1 - p + p/n  =>  p = (1 - u2) / (1 - 1/n).
-    const double u2 = desc.r2;
-    const double p = (1.0 - u2) / (1.0 - 1.0 / n2);
+    const double p = RawParallelFraction(desc.r2, n2);
     desc.parallel_fraction = std::clamp(p, 0.0, 1.0);
     if (p < -kClampTol || p > 1.0 + kClampTol) {
       desc.quality.diagnostics.push_back(
@@ -329,19 +339,14 @@ StatusOr<WorkloadDescription> WorkloadProfiler::ProfileRobust(
 
   // ---- Run 3: threads split over two sockets -> o_s (§4.3) ----
   if (topo.num_sockets >= 2) {
-    std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
-    loads[0] = SocketLoad{n2 / 2, 0};
-    loads[1] = SocketLoad{n2 - n2 / 2, 0};
-    const Placement run3_placement = Placement::FromSocketLoads(topo, loads);
+    const Placement run3_placement = CrossSocketPlacement(topo, n2);
     StatusOr<TimedSample> run3 =
         RobustTimedRun(3, workload, run3_placement, nullptr, nullptr,
                        /*want_counters=*/false, options, desc.quality);
     PANDIA_RETURN_IF_ERROR(run3.status());
     desc.r3 = run3->time / desc.t1;
-    const PartialPrediction partial = PredictPartial(description_, desc, run3_placement);
-    const double u3 = desc.r3 / partial.k;
-    // u3 = 1 + (n/2) * o_s / f3  =>  o_s = (u3 - 1) * f3 / (n/2).
-    const double os = (u3 - 1.0) * partial.f / (n2 / 2.0);
+    const double os = RawInterSocketOverhead(
+        desc.r3, PredictPartial(description_, desc, run3_placement), n2);
     desc.inter_socket_overhead = std::max(os, 0.0);
     if (os < -kClampTol) {
       desc.quality.diagnostics.push_back(StrFormat(
@@ -390,20 +395,17 @@ StatusOr<WorkloadDescription> WorkloadProfiler::ProfileRobust(
 
   // ---- Run 6: threads packed two per core -> burstiness b (§4.5) ----
   {
-    std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
-    loads[0] = SocketLoad{0, n2 / 2};
-    const Placement run6_placement = Placement::FromSocketLoads(topo, loads);
+    const Placement run6_placement = PackedPlacement(topo, n2);
     StatusOr<TimedSample> run6 =
         RobustTimedRun(6, workload, run6_placement, nullptr, nullptr,
                        /*want_counters=*/false, options, desc.quality);
     PANDIA_RETURN_IF_ERROR(run6.status());
     desc.r6 = run6->time / desc.t1;
-    const PartialPrediction partial = PredictPartial(description_, desc, run6_placement);
     // u6 must stay comparable to u2 = r2 (both contain the Amdahl scaling),
-    // so only the contention part of the steps-1..4 prediction divides out.
-    const double u6 = desc.r6 / partial.k_slowdown;
-    // b = (1/f6) * (u6/u2 - 1), with u2 = r2 since k2 = 1 (§4.5).
-    const double b = (u6 / desc.r2 - 1.0) / partial.f;
+    // so only the contention part of the steps-1..4 prediction divides out,
+    // and r2 is the reference since k2 = 1 (§4.5).
+    const double b = RawBurstiness(
+        desc.r6, PredictPartial(description_, desc, run6_placement), desc.r2);
     desc.burstiness = std::max(b, 0.0);
     if (b < -kClampTol) {
       desc.quality.diagnostics.push_back(

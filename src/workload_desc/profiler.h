@@ -13,10 +13,15 @@
 //          sharing its core with a stressor
 //   Run 6: n2 threads packed two per core    -> core burstiness b
 //
-// Idle cores are filled with a background load in every run so Turbo Boost
-// stays at its all-core bin (§6.3). Steps 3 and 6 divide out the slowdown
-// k_x that the partial Pandia model already predicts, so each step measures
-// only its own new effect (§4.1).
+// Every run goes through stress::RunFilled, so idle cores run a background
+// load and Turbo Boost stays at its all-core bin (§6.3). Steps 3 and 6
+// divide out the slowdown k_x that the partial Pandia model already
+// predicts, so each step measures only its own new effect (§4.1).
+//
+// Each §4 step the online profiler (online_profiler.h) shares is one free
+// function below; each caller keeps its own clamp. WorkloadProfiler adds
+// what only the six-run profiler does: trials, retries, medians, imputation
+// and diagnostics.
 //
 // Robust profiling: real measurements are noisy, so each of the six runs
 // can be repeated `ProfileOptions::trials` times. Failed runs (crashed or
@@ -36,18 +41,12 @@
 #include "src/machine_desc/machine_description.h"
 #include "src/predictor/predictor.h"
 #include "src/sim/machine.h"
-#include "src/util/common_options.h"
 #include "src/util/status.h"
 #include "src/workload_desc/description.h"
 
 namespace pandia {
 
 struct ProfileOptions {
-  // Shared fan-out knobs (src/util/common_options.h): common.jobs drives
-  // multi-workload profiling fan-out (eval::Pipeline::ProfileAll); the six
-  // runs of a single workload are sequential by construction (§4).
-  CommonOptions common;
-
   // Trials per profiling run; the aggregate is the median of surviving
   // trials. 1 reproduces the historical single-observation behaviour.
   int trials = 1;
@@ -69,6 +68,45 @@ Predictor ContentionProbe(const MachineDescription& machine,
                           WorkloadDescription partial);
 bool ContentionFree(const Predictor& probe, const Placement& placement);
 
+// What the partial model built so far predicts for a symmetric profiling
+// placement (§4.1's k_x), so a step measures only its own new effect.
+struct PartialPrediction {
+  double k = 1.0;           // predicted time relative to t1
+  double k_slowdown = 1.0;  // contention-only part of k (without Amdahl)
+  double f = 1.0;           // predicted thread utilization
+};
+PartialPrediction PredictPartial(const MachineDescription& machine,
+                                 const WorkloadDescription& partial,
+                                 const Placement& placement);
+
+// The run-2 thread count (§4.2): the largest even count n of one-per-core
+// threads on socket 0 such that ContentionFree holds at 2, 4, ..., n; at
+// least 2.
+int ProfileThreads(const MachineDescription& machine, const WorkloadDescription& partial);
+
+// Run 3's placement (§4.3): n one-per-core threads split over sockets 0
+// and 1, n/2 on socket 0.
+Placement CrossSocketPlacement(const MachineTopology& topo, int n);
+
+// Run 6's placement (§4.5): n threads packed two per core on socket 0.
+Placement PackedPlacement(const MachineTopology& topo, int n);
+
+// The demand vector d (§4.1) of job 0 of `result`, run under `placement`:
+// its counters over its completion time, DRAM traffic to the node of the
+// placement's first thread counted local and the rest remote.
+ResourceDemandVector MeasuredDemands(const sim::Machine& machine,
+                                     const sim::RunResult& result,
+                                     const Placement& placement);
+
+// The raw §4 formulas, before each caller's clamp; r is the run's time
+// relative to t1 and n its thread count. p from r = 1 - p + p/n (§4.2);
+// o_s from r / k = 1 + (n/2) o_s / f (§4.3); b from r / k_slowdown =
+// reference (1 + b f) (§4.5), where `reference` is the burst-free time at n
+// threads relative to t1: r2 offline, Amdahl's (1 - p) + p/n online.
+double RawParallelFraction(double r, int n);
+double RawInterSocketOverhead(double r, const PartialPrediction& partial, int n);
+double RawBurstiness(double r, const PartialPrediction& partial, double reference);
+
 class WorkloadProfiler {
  public:
   WorkloadProfiler(const sim::Machine& machine, MachineDescription description);
@@ -83,16 +121,11 @@ class WorkloadProfiler {
   StatusOr<WorkloadDescription> ProfileRobust(const sim::WorkloadSpec& workload,
                                               const ProfileOptions& options) const;
 
-  // The run-2 thread count chosen for a workload with the given measured
-  // demand vector: the largest even number of single-socket one-per-core
-  // threads that oversubscribes no resource (§4.2). Exposed for tests.
-  int ChooseProfileThreads(const WorkloadDescription& partial) const;
-
  private:
   struct TimedSample;
 
-  // Executes the workload (plus optional co-runner) with idle cores filled,
-  // `options.trials` times with retry-on-failure; aggregates foreground
+  // Executes the workload (plus optional co-runner) through
+  // stress::RunFilled, `options.trials` times with retry-on-failure; aggregates foreground
   // completion time (and, when `want_counters`, per-resource consumption
   // rates) and records quality into `quality.runs[run_index - 1]`.
   StatusOr<TimedSample> RobustTimedRun(int run_index, const sim::WorkloadSpec& workload,
