@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
   common.ActivateTracing();
-  const sim::FaultPlan fault_plan = robustness.MakeFaultPlan();
 
   std::optional<eval::Pipeline> pipeline;
   std::optional<MachineDescription> machine;
@@ -125,21 +124,10 @@ int main(int argc, char** argv) {
       }
       pipeline.emplace(machine->topo.name);
     }
-    if (fault_plan.active()) {
-      pipeline->SetFaultPlan(fault_plan);
+    workload = robustness.Profile(*pipeline, workloads::ByName(positional[1]));
+    if (!workload.has_value()) {
+      return 1;
     }
-    ProfileOptions profile_options;
-    profile_options.trials = robustness.trials;
-    StatusOr<WorkloadDescription> profiled =
-        pipeline->ProfileRobust(workloads::ByName(positional[1]), profile_options);
-    if (!profiled.ok()) {
-      return tools::FailWith(profiled.status(),
-                             "profiling '" + positional[1] + "' failed");
-    }
-    if (robustness.trials > 1 || fault_plan.active()) {
-      tools::PrintProfileQuality(profiled->quality);
-    }
-    workload = std::move(*profiled);
   } else {
     std::fprintf(stderr,
                  "error: '%s' is neither a readable workload description (%s) nor a "

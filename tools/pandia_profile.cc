@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,20 +69,9 @@ int main(int argc, char** argv) {
   for (const std::string& warning : assumptions.warnings) {
     std::fprintf(stderr, "warning: %s\n", warning.c_str());
   }
-  const sim::FaultPlan plan = robustness.MakeFaultPlan();
-  if (plan.active()) {
-    pipeline.SetFaultPlan(plan);
-  }
-  ProfileOptions profile_options;
-  profile_options.trials = robustness.trials;
-  const StatusOr<WorkloadDescription> desc =
-      pipeline.ProfileRobust(workload, profile_options);
-  if (!desc.ok()) {
-    return tools::FailWith(desc.status(),
-                           "profiling '" + positional[1] + "' failed");
-  }
-  if (robustness.trials > 1 || plan.active()) {
-    tools::PrintProfileQuality(desc->quality);
+  const std::optional<WorkloadDescription> desc = robustness.Profile(pipeline, workload);
+  if (!desc.has_value()) {
+    return 1;
   }
   const std::string text = WorkloadDescriptionToText(*desc);
   if (positional.size() == 3) {

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/pandia.h"
 
@@ -69,12 +70,13 @@ struct CommonFlags {
       return FlagParse::kOk;
     }
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      jobs = std::atoi(arg + 7);
-      if (jobs < 1) {
+      const StatusOr<int> parsed = ParseIntFlag(arg + 7, "--jobs");
+      if (!parsed.ok() || *parsed < 1) {
         std::fprintf(stderr, "error: --jobs needs a positive integer, got '%s'\n",
                      arg + 7);
         return FlagParse::kError;
       }
+      jobs = *parsed;
       return FlagParse::kOk;
     }
     return FlagParse::kNoMatch;
@@ -128,7 +130,8 @@ struct CommonFlags {
   }
 };
 
-// Robustness flags shared by the measuring tools:
+// Robustness flags shared by the measuring tools, and the one path by which
+// those tools profile a workload (Profile below):
 //   --trials=N         profiling trials per run (default 1; median aggregate)
 //   --fault-seed=S     arm the default fault plan (3% time jitter, 5% counter
 //                      dropout, 1-in-20 run failure) with seed S
@@ -225,6 +228,14 @@ struct RobustnessFlags {
     }
     return plan;
   }
+
+  // Profiles `workload` on `pipeline` under these flags: arms the fault
+  // plan when any --fault-* flag asks for one (it stays armed), runs
+  // ProfileRobust at --trials, and prints the quality summary to stderr
+  // when there is more than one trial or a fault plan. A failure is
+  // reported on stderr and returns nullopt; the tool exits 1.
+  std::optional<WorkloadDescription> Profile(eval::Pipeline& pipeline,
+                                             const sim::WorkloadSpec& workload) const;
 };
 
 // Prints "error: [context: ]CODE: message" and returns the tool exit code.
@@ -255,6 +266,25 @@ inline void PrintProfileQuality(const ProfileQuality& quality) {
   for (const std::string& diagnostic : quality.diagnostics) {
     std::fprintf(stderr, "profile note: %s\n", diagnostic.c_str());
   }
+}
+
+inline std::optional<WorkloadDescription> RobustnessFlags::Profile(
+    eval::Pipeline& pipeline, const sim::WorkloadSpec& workload) const {
+  const sim::FaultPlan plan = MakeFaultPlan();
+  if (plan.active()) {
+    pipeline.SetFaultPlan(plan);
+  }
+  ProfileOptions options;
+  options.trials = trials;
+  StatusOr<WorkloadDescription> desc = pipeline.ProfileRobust(workload, options);
+  if (!desc.ok()) {
+    FailWith(desc.status(), "profiling '" + workload.name + "' failed");
+    return std::nullopt;
+  }
+  if (trials > 1 || plan.active()) {
+    PrintProfileQuality(desc->quality);
+  }
+  return std::move(*desc);
 }
 
 }  // namespace tools
