@@ -303,7 +303,7 @@ int ConvergenceDump() {
   for (const auto& c : cases) {
     obs::PredictionTrace trace;
     PredictionOptions options;
-    options.common.trace = &trace;
+    options.trace = &trace;
     const Predictor predictor = X5Pipeline().MakePredictor(
         X5Pipeline().Profile(workloads::ByName(c.workload)), options);
     const Prediction prediction = predictor.Predict(c.placement);

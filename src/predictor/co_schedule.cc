@@ -236,7 +236,7 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     std::span<const SolverJobRef> jobs, SolverScratch& s) const {
   PANDIA_CHECK(!jobs.empty());
   const obs::TraceSpan predict_span("predict", static_cast<int64_t>(jobs.size()));
-  obs::PredictionTrace* trace = options_.common.trace;
+  obs::PredictionTrace* trace = options_.trace;
   if (trace != nullptr) {
     trace->Clear();
   }

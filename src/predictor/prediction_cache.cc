@@ -73,8 +73,8 @@ uint64_t MachineOptionsFingerprint(const MachineDescription& machine,
   HashDouble(h, machine.l3_agg_bw);
   HashDouble(h, machine.dram_bw);
   HashDouble(h, machine.link_bw);
-  // Options that shape the solve (CommonOptions records/parallelizes, it
-  // does not change values).
+  // Options that shape the solve (CommonOptions and the trace hook
+  // parallelize and record, they do not change values).
   HashInt(h, options.max_iterations);
   HashDouble(h, options.convergence_eps);
   HashInt(h, options.dampen_after);
@@ -212,7 +212,7 @@ void PredictionCache::Clear() {
 
 Prediction PredictCached(const Predictor& predictor, const Placement& placement,
                          PredictionCache* cache) {
-  if (cache == nullptr || predictor.options().common.trace != nullptr) {
+  if (cache == nullptr || predictor.options().trace != nullptr) {
     return predictor.Predict(placement);
   }
   const PredictionCacheKey key{predictor.context_fingerprint(),

@@ -52,9 +52,9 @@ struct PredictionCacheKey {
 };
 
 // Fingerprint of the (machine, workload, options) triple that determines a
-// Prediction, bit-exact over every model input. The CommonOptions member is
-// excluded: jobs/cache/trace shape how the solve is run and recorded, not
-// its value.
+// Prediction, bit-exact over every model input. The CommonOptions member and
+// the trace hook are excluded: jobs/cache/trace shape how the solve is run
+// and recorded, not its value.
 uint64_t ContextFingerprint(const MachineDescription& machine,
                             const WorkloadDescription& workload,
                             const PredictionOptions& options);

@@ -35,11 +35,19 @@ namespace pandia {
 
 class CoSchedulePredictor;
 
+namespace obs {
+struct PredictionTrace;
+}  // namespace obs
+
 struct PredictionOptions {
-  // Shared fan-out/cache/trace knobs (src/util/common_options.h). The
-  // trace hook lives here: when common.trace is non-null, every Predict
-  // call clears the trace and records per-iteration solver state.
+  // Shared fan-out/cache knobs (src/util/common_options.h).
   CommonOptions common;
+
+  // Optional convergence introspection (src/obs/prediction_trace.h): when
+  // non-null, every solve clears the trace and records per-iteration solver
+  // state, bypassing the prediction cache. The pointee must outlive the
+  // call; solves sharing one options struct overwrite each other's traces.
+  obs::PredictionTrace* trace = nullptr;
 
   int max_iterations = 1000;
   double convergence_eps = 1e-6;

@@ -160,7 +160,7 @@ Rack::Rack(std::vector<RackMachine> machines, PredictionOptions options)
   machine_events_.resize(machines_.size(), 0);
   // A convergence-trace hook disables memoization for the same reason
   // PredictCached does: a hit would silently skip recording.
-  if (options_.common.use_cache && options_.common.trace == nullptr) {
+  if (options_.common.use_cache && options_.trace == nullptr) {
     cache_ = &PredictionCache::Global();
   }
   machine_context_.reserve(machines_.size());

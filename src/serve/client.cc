@@ -300,12 +300,8 @@ StatusOr<std::string> Client::DrainToEof() {
 }
 
 StatusOr<std::string> SocketExchange(const std::string& path,
-                                     const std::string& request_text,
-                                     const ExchangeOptions& options) {
+                                     const std::string& request_text) {
   ClientOptions client_options;
-  client_options.timeout_ms = options.timeout_ms;
-  client_options.retries = options.retries;
-  client_options.backoff_initial_ms = options.backoff_initial_ms;
   client_options.handshake = false;  // EOF framing: no extra block on the wire
   StatusOr<Client> client = Client::Connect(path, client_options);
   if (!client.ok()) {

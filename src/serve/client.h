@@ -108,17 +108,11 @@ class Client {
 
 // One-shot exchange with EOF framing, built on Client: connect, write
 // `request_text` (which may hold many request lines), half-close, read until
-// the daemon closes. Returns the raw concatenated response blocks. No
-// handshake — the byte stream is exactly the responses to `request_text`.
-struct ExchangeOptions {
-  int timeout_ms = -1;
-  int retries = 0;
-  int backoff_initial_ms = 50;
-};
-
+// the daemon closes. Returns the raw concatenated response blocks. Default
+// ClientOptions without the handshake — the byte stream is exactly the
+// responses to `request_text`.
 StatusOr<std::string> SocketExchange(const std::string& path,
-                                     const std::string& request_text,
-                                     const ExchangeOptions& options = {});
+                                     const std::string& request_text);
 
 }  // namespace serve
 }  // namespace pandia

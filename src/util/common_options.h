@@ -1,20 +1,17 @@
 // Options shared by every layer that predicts placements.
 //
-// Three knobs recur across the pipeline's options structs (ProfileOptions,
-// PredictionOptions, OptimizerOptions, SweepOptions): how many worker
-// threads to fan independent work out over, whether to memoize predictions
-// in the process-wide PredictionCache, and an optional convergence-trace
-// hook. Each struct embeds one CommonOptions member so CLI front-ends can
-// parse `--jobs` / `--trace-out` once (tools/tool_common.h) and thread the
-// result through a single path instead of five divergent fields.
+// Two knobs recur across the pipeline's options structs (PredictionOptions,
+// OptimizerOptions, SweepOptions): how many worker threads to fan
+// independent work out over, and whether to memoize predictions in the
+// process-wide PredictionCache. Each struct embeds one CommonOptions member
+// so CLI front-ends can parse `--jobs` once (tools/tool_common.h) and
+// thread the result through a single path. The convergence-trace hook is
+// read only through a predictor's options, so it lives in
+// PredictionOptions.
 #ifndef PANDIA_SRC_UTIL_COMMON_OPTIONS_H_
 #define PANDIA_SRC_UTIL_COMMON_OPTIONS_H_
 
 namespace pandia {
-
-namespace obs {
-struct PredictionTrace;
-}  // namespace obs
 
 struct CommonOptions {
   // Worker threads for independent fan-out (candidate predictions, sweep
@@ -24,15 +21,9 @@ struct CommonOptions {
   int jobs = 0;
 
   // Memoize predictions in PredictionCache::Global(). Automatically
-  // bypassed when `trace` is set (a cache hit would silently skip
-  // recording).
+  // bypassed when the predictor's PredictionOptions::trace is set (a cache
+  // hit would silently skip recording).
   bool use_cache = true;
-
-  // Optional convergence introspection (src/obs/prediction_trace.h): when
-  // non-null, every solve clears the trace and records per-iteration solver
-  // state. The pointee must outlive the call; solves sharing one options
-  // struct overwrite each other's traces.
-  obs::PredictionTrace* trace = nullptr;
 };
 
 }  // namespace pandia

@@ -470,7 +470,7 @@ WorkloadDescription ContendedWorkload() {
 TEST(ObsPredictionTrace, IterationCountMatchesPrediction) {
   obs::PredictionTrace trace;
   PredictionOptions options;
-  options.common.trace = &trace;
+  options.trace = &trace;
   const Predictor predictor(X3Desc(), ContendedWorkload(), options);
   const Placement placement = Placement::TwoPerCore(X3Desc().topo, 20);
   const Prediction prediction = predictor.Predict(placement);
@@ -502,7 +502,7 @@ TEST(ObsPredictionTrace, IterationCountMatchesPrediction) {
 TEST(ObsPredictionTrace, DampeningEngagesAfterDampenAfter) {
   obs::PredictionTrace trace;
   PredictionOptions options;
-  options.common.trace = &trace;
+  options.trace = &trace;
   options.dampen_after = 3;
   options.max_iterations = 10;
   options.convergence_eps = 0.0;  // never converge: run all 10 iterations
@@ -522,7 +522,7 @@ TEST(ObsPredictionTrace, DampeningEngagesAfterDampenAfter) {
 TEST(ObsPredictionTrace, TraceIsClearedBetweenPredicts) {
   obs::PredictionTrace trace;
   PredictionOptions options;
-  options.common.trace = &trace;
+  options.trace = &trace;
   const Predictor predictor(X3Desc(), ContendedWorkload(), options);
   const Prediction first = predictor.Predict(Placement::TwoPerCore(X3Desc().topo, 20));
   ASSERT_EQ(trace.iterations.size(), static_cast<size_t>(first.iterations));

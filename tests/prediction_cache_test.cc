@@ -147,7 +147,7 @@ TEST(PredictCached, BypassesCacheWhenTracing) {
   PredictionCache cache(1024);
   obs::PredictionTrace trace;
   PredictionOptions options;
-  options.common.trace = &trace;
+  options.trace = &trace;
   const Predictor traced = X3Pipeline().MakePredictor(
       X3Pipeline().Profile(workloads::ByName("MD")), options);
   const MachineTopology& topo = X3Pipeline().machine().topology();

@@ -38,7 +38,7 @@ CoSchedulePrediction ReferenceCoSchedulePredict(
     const MachineDescription& machine, const PredictionOptions& options,
     std::span<const CoScheduleRequest> requests) {
   PANDIA_CHECK(!requests.empty());
-  obs::PredictionTrace* trace = options.common.trace;
+  obs::PredictionTrace* trace = options.trace;
   if (trace != nullptr) {
     trace->Clear();
   }

@@ -18,7 +18,7 @@ namespace pandia {
 
 // One joint solve with the reference algorithm. Mirrors
 // CoSchedulePredictor::Predict's contract (including trace recording via
-// options.common.trace).
+// options.trace).
 CoSchedulePrediction ReferenceCoSchedulePredict(
     const MachineDescription& machine, const PredictionOptions& options,
     std::span<const CoScheduleRequest> requests);

@@ -314,9 +314,9 @@ TEST(SolverEquivalence, RandomJointSchedulesBitIdentical) {
         obs::PredictionTrace got_trace;
         obs::PredictionTrace want_trace;
         PredictionOptions got_options;
-        got_options.common.trace = &got_trace;
+        got_options.trace = &got_trace;
         PredictionOptions want_options;
-        want_options.common.trace = &want_trace;
+        want_options.trace = &want_trace;
         const CoSchedulePredictor traced(pipeline.description(), got_options);
         traced.Predict(requests);
         ReferenceCoSchedulePredict(pipeline.description(), want_options, requests);
@@ -361,9 +361,9 @@ TEST(SolverEquivalence, IterationTraceBitIdentical) {
   obs::PredictionTrace got_trace;
   obs::PredictionTrace want_trace;
   PredictionOptions got_options;
-  got_options.common.trace = &got_trace;
+  got_options.trace = &got_trace;
   PredictionOptions want_options;
-  want_options.common.trace = &want_trace;
+  want_options.trace = &want_trace;
   const CoSchedulePredictor engine(pipeline.description(), got_options);
   const Placement placement = Placement::TwoPerCore(topo, 2 * topo.NumCores());
   const CoScheduleRequest request{&desc, placement};
